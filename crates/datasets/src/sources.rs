@@ -4,13 +4,17 @@
 //!
 //! * [`NdjsonPairSource`] — newline-delimited JSON, one
 //!   `{"label": c, "item": i}` object per line (field order free,
-//!   whitespace tolerated). Malformed lines fail with the 1-based line
-//!   number.
+//!   whitespace tolerated).
 //! * [`CsvPairSource`] — the CLI's `label,item` CSV, with an optional
 //!   header, read line-buffered instead of `read_to_string`.
 //! * [`SyntheticPairSource`] — a seeded generator producing Zipf-per-class
 //!   pairs on the fly (the stream-ingestion benchmark's 5M-user workload
 //!   costs no input memory at all).
+//!
+//! Both file formats share one line reader: a UTF-8 byte-order mark at the
+//! start of the file is skipped, lines longer than `MAX_LINE_BYTES` (4 KiB)
+//! are refused, and every malformed line — invalid UTF-8 included — fails
+//! with its 1-based line number.
 
 use std::io::BufRead;
 use std::path::{Path, PathBuf};
@@ -22,6 +26,14 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::distributions::Zipf;
+
+/// The longest line either file source accepts, in bytes, not counting its
+/// `\n`. Refusing longer lines keeps the reader's memory bounded even on a
+/// file with no newline at all.
+const MAX_LINE_BYTES: usize = 4096;
+
+/// U+FEFF as UTF-8: spreadsheet "CSV UTF-8" exports begin with it.
+const BOM: &[u8] = "\u{FEFF}".as_bytes();
 
 /// Maps an I/O error to [`Error::Source`] naming the file.
 fn io_err(path: &Path, e: std::io::Error) -> Error {
@@ -37,13 +49,21 @@ fn line_err(path: &Path, lineno: u64, what: &str) -> Error {
     }
 }
 
+/// Views a line as `str`, or fails naming its position.
+fn utf8<'a>(path: &Path, lineno: u64, line: &'a [u8]) -> Result<&'a str> {
+    std::str::from_utf8(line).map_err(|_| line_err(path, lineno, "not valid UTF-8"))
+}
+
 /// The shared line-pulling machinery behind both file-backed pair sources:
-/// buffered reading, 1-based line counting, and I/O-error wrapping live
-/// here exactly once; the formats differ only in their line parser.
+/// buffered reading into one reused line buffer, 1-based line counting,
+/// and I/O-error wrapping live here exactly once; the formats differ only
+/// in their line parser.
 #[derive(Debug)]
 struct PairFile {
     path: PathBuf,
-    reader: std::io::Lines<std::io::BufReader<std::fs::File>>,
+    reader: std::io::BufReader<std::fs::File>,
+    /// The current line without its `\n`, reused from line to line.
+    line: Vec<u8>,
     lineno: u64,
     yielded: u64,
 }
@@ -53,31 +73,75 @@ impl PairFile {
         let file = std::fs::File::open(path).map_err(|e| io_err(path, e))?;
         Ok(PairFile {
             path: path.to_path_buf(),
-            reader: std::io::BufReader::new(file).lines(),
+            reader: std::io::BufReader::new(file),
+            line: Vec::new(),
             lineno: 0,
             yielded: 0,
         })
     }
 
-    /// Pulls up to `max` pairs, parsing each line with `parse` (which
-    /// returns `Ok(None)` for skippable lines — blanks, headers).
+    /// Reads the next line, without its `\n`, into `self.line`; `false`
+    /// at end of file.
+    fn next_line(&mut self) -> Result<bool> {
+        self.line.clear();
+        loop {
+            let chunk = self.reader.fill_buf().map_err(|e| io_err(&self.path, e))?;
+            if chunk.is_empty() {
+                if self.line.is_empty() {
+                    return Ok(false);
+                }
+                break; // a last line with no `\n`
+            }
+            let newline = chunk.iter().position(|&b| b == b'\n');
+            let (body, used) = match newline {
+                Some(i) => (&chunk[..i], i + 1),
+                None => (chunk, chunk.len()),
+            };
+            self.line.extend_from_slice(body);
+            self.reader.consume(used);
+            if self.line.len() > MAX_LINE_BYTES {
+                let what = format!("longer than {MAX_LINE_BYTES} bytes");
+                return Err(line_err(&self.path, self.lineno + 1, &what));
+            }
+            if newline.is_some() {
+                break;
+            }
+        }
+        self.lineno += 1;
+        if self.lineno == 1 && self.line.starts_with(BOM) {
+            self.line.drain(..BOM.len());
+        }
+        Ok(true)
+    }
+
+    /// Reads lines until `parse` yields a pair (it returns `Ok(None)` for
+    /// skippable lines — blanks, headers); `None` at end of file.
+    fn next_pair(
+        &mut self,
+        parse: &impl Fn(&Path, u64, &[u8]) -> Result<Option<LabelItem>>,
+    ) -> Result<Option<LabelItem>> {
+        while self.next_line()? {
+            if let Some(pair) = parse(&self.path, self.lineno, &self.line)? {
+                return Ok(Some(pair));
+            }
+        }
+        Ok(None)
+    }
+
+    /// Pulls up to `max` pairs.
     fn fill_with(
         &mut self,
         buf: &mut Vec<LabelItem>,
         max: usize,
-        parse: impl Fn(&Path, u64, &str) -> Result<Option<LabelItem>>,
+        parse: impl Fn(&Path, u64, &[u8]) -> Result<Option<LabelItem>>,
     ) -> Result<usize> {
         let mut got = 0usize;
         while got < max {
-            let Some(line) = self.reader.next() else {
+            let Some(pair) = self.next_pair(&parse)? else {
                 break;
             };
-            self.lineno += 1;
-            let line = line.map_err(|e| io_err(&self.path, e))?;
-            if let Some(pair) = parse(&self.path, self.lineno, &line)? {
-                buf.push(pair);
-                got += 1;
-            }
+            buf.push(pair);
+            got += 1;
         }
         self.yielded += got as u64;
         Ok(got)
@@ -90,7 +154,7 @@ impl PairFile {
     fn rewind_with(
         &mut self,
         n: u64,
-        parse: impl Fn(&Path, u64, &str) -> Result<Option<LabelItem>>,
+        parse: impl Fn(&Path, u64, &[u8]) -> Result<Option<LabelItem>>,
     ) -> Result<bool> {
         let target = self.yielded.checked_sub(n).ok_or_else(|| Error::Source {
             message: format!(
@@ -101,19 +165,51 @@ impl PairFile {
         })?;
         *self = PairFile::open(&self.path)?;
         while self.yielded < target {
-            let Some(line) = self.reader.next() else {
+            if self.next_pair(&parse)?.is_none() {
                 return Err(Error::Source {
                     message: format!("{}: file shrank during rewind", self.path.display()),
                 });
-            };
-            self.lineno += 1;
-            let line = line.map_err(|e| io_err(&self.path, e))?;
-            if parse(&self.path, self.lineno, &line)?.is_some() {
-                self.yielded += 1;
             }
+            self.yielded += 1;
         }
         Ok(true)
     }
+}
+
+/// Parses one CSV line's bytes. A line of the form `[0-9]+,[0-9]+` with an
+/// optional trailing `\r` — nearly every line of a machine-written file —
+/// is decoded straight from the bytes; every other line goes to
+/// [`parse_csv_line`], which defines the grammar and its errors.
+fn parse_csv_bytes(path: &Path, lineno: u64, line: &[u8]) -> Result<Option<LabelItem>> {
+    match parse_csv_digits(line) {
+        Some(pair) => Ok(Some(pair)),
+        None => parse_csv_line(path, lineno, utf8(path, lineno, line)?),
+    }
+}
+
+/// The byte fast path of [`parse_csv_bytes`]: `Some` only for two
+/// ASCII-digit `u32`s split by one comma, with an optional trailing `\r` —
+/// lines [`parse_csv_line`] reads as the same pair.
+fn parse_csv_digits(line: &[u8]) -> Option<LabelItem> {
+    let line = line.strip_suffix(b"\r").unwrap_or(line);
+    let comma = line.iter().position(|&b| b == b',')?;
+    let (label, item) = line.split_at(comma);
+    Some(LabelItem::new(
+        digits_u32(label)?,
+        digits_u32(item.get(1..)?)?,
+    ))
+}
+
+/// A non-empty run of ASCII digits as a `u32`; `None` on any other byte or
+/// on overflow.
+fn digits_u32(digits: &[u8]) -> Option<u32> {
+    if digits.is_empty() {
+        return None;
+    }
+    digits.iter().try_fold(0u32, |acc, &b| {
+        acc.checked_mul(10)?
+            .checked_add(char::from(b).to_digit(10)?)
+    })
 }
 
 /// Parses one `label,item` CSV line (line 1 may be a header).
@@ -142,8 +238,8 @@ fn parse_csv_line(path: &Path, lineno: u64, line: &str) -> Result<Option<LabelIt
 }
 
 /// Parses one `{"label": c, "item": i}` NDJSON line (fields in any order).
-fn parse_ndjson_line(path: &Path, lineno: u64, line: &str) -> Result<Option<LabelItem>> {
-    let line = line.trim();
+fn parse_ndjson_line(path: &Path, lineno: u64, line: &[u8]) -> Result<Option<LabelItem>> {
+    let line = utf8(path, lineno, line)?.trim();
     if line.is_empty() {
         return Ok(None);
     }
@@ -197,11 +293,11 @@ impl ReportSource for CsvPairSource {
     type Item = LabelItem;
 
     fn fill(&mut self, buf: &mut Vec<LabelItem>, max: usize) -> Result<usize> {
-        self.file.fill_with(buf, max, parse_csv_line)
+        self.file.fill_with(buf, max, parse_csv_bytes)
     }
 
     fn rewind(&mut self, n: u64) -> Result<bool> {
-        self.file.rewind_with(n, parse_csv_line)
+        self.file.rewind_with(n, parse_csv_bytes)
     }
 }
 
@@ -387,6 +483,163 @@ mod tests {
     }
 
     #[test]
+    fn bom_on_line_1_is_skipped() {
+        let path = tmp("bom.csv");
+        for body in ["\u{FEFF}label,item\n1,2\n", "\u{FEFF}1,2\n"] {
+            std::fs::write(&path, body).unwrap();
+            let pairs = drain(CsvPairSource::open(&path).unwrap()).unwrap();
+            assert_eq!(pairs, vec![LabelItem::new(1, 2)], "{body:?}");
+        }
+        // Only a leading BOM is skipped; anywhere else it is a bad field.
+        std::fs::write(&path, "1,2\n\u{FEFF}3,4\n").unwrap();
+        let err = drain(CsvPairSource::open(&path).unwrap()).unwrap_err();
+        assert!(err.to_string().contains("line 2"), "{err}");
+
+        let path = tmp("bom.ndjson");
+        std::fs::write(&path, "\u{FEFF}{\"label\": 1, \"item\": 2}\n").unwrap();
+        let pairs = drain(NdjsonPairSource::open(&path).unwrap()).unwrap();
+        assert_eq!(pairs, vec![LabelItem::new(1, 2)]);
+    }
+
+    #[test]
+    fn invalid_utf8_names_its_line() {
+        let path = tmp("bad-utf8.csv");
+        std::fs::write(&path, b"0,1\n1,\xFF2\n").unwrap();
+        let err = drain(CsvPairSource::open(&path).unwrap()).unwrap_err();
+        assert!(err.to_string().contains("line 2: not valid UTF-8"), "{err}");
+
+        let path = tmp("bad-utf8.ndjson");
+        std::fs::write(&path, b"{\"label\": 0, \"item\": \xC3}\n").unwrap();
+        let err = drain(NdjsonPairSource::open(&path).unwrap()).unwrap_err();
+        assert!(err.to_string().contains("line 1: not valid UTF-8"), "{err}");
+    }
+
+    #[test]
+    fn overlong_lines_are_refused() {
+        let path = tmp("no-newline.csv");
+        std::fs::write(&path, vec![b'7'; 1 << 20]).unwrap();
+        let err = drain(CsvPairSource::open(&path).unwrap()).unwrap_err();
+        assert!(
+            err.to_string().contains("line 1: longer than 4096 bytes"),
+            "{err}"
+        );
+
+        // The cap is exact: MAX_LINE_BYTES passes, one byte more does not.
+        let path = tmp("long-lines.csv");
+        let line = |len: usize| format!("1,{:>w$}\n", 2, w = len - 2);
+        std::fs::write(&path, line(MAX_LINE_BYTES) + &line(MAX_LINE_BYTES + 1)).unwrap();
+        let mut source = CsvPairSource::open(&path).unwrap();
+        let mut pairs = Vec::new();
+        assert_eq!(source.fill(&mut pairs, 1).unwrap(), 1);
+        assert_eq!(pairs, vec![LabelItem::new(1, 2)]);
+        let err = source.fill(&mut pairs, 1).unwrap_err();
+        assert!(err.to_string().contains("line 2: longer than"), "{err}");
+    }
+
+    /// The reference decoder the differential tests hold `CsvPairSource`
+    /// to: `BufRead::lines` feeding `parse_csv_line`, with no byte-level
+    /// reading and no fast path.
+    fn reference_csv(path: &Path) -> Result<Vec<LabelItem>> {
+        let file = std::io::BufReader::new(std::fs::File::open(path).unwrap());
+        let mut out = Vec::new();
+        for (lineno, line) in (1..).zip(file.lines()) {
+            if let Some(pair) = parse_csv_line(path, lineno, &line.unwrap())? {
+                out.push(pair);
+            }
+        }
+        Ok(out)
+    }
+
+    /// Line fragments for the differential tests: digits with and without
+    /// leading zeros, the `u32` edge, signs, separators, CR, whitespace the
+    /// `str` grammar trims (tab, NBSP), non-ASCII and the header words.
+    const FRAGMENTS: &[&str] = &[
+        "0",
+        "7",
+        "007",
+        "+5",
+        "-1",
+        "4294967295",
+        "4294967296",
+        "12",
+        ",",
+        ",",
+        "\r",
+        "\t",
+        "\u{A0}",
+        " ",
+        "label",
+        "item",
+        "label,item",
+        "x",
+        "é",
+    ];
+
+    #[test]
+    fn csv_fast_path_agrees_with_grammar_on_edge_lines() {
+        let path = tmp("edge.csv");
+        let lines = [
+            "0,0",
+            "007,0010",
+            "+5,3",
+            "5,+3",
+            "4294967295,4294967295",
+            "4294967296,1",
+            "1,4294967296",
+            "1,2\r",
+            "1,2\r\r",
+            "1\t,2",
+            "\t1,2",
+            "\u{A0}1,2",
+            "1,2\u{A0}",
+            ",2",
+            "1,",
+            ",",
+            "1,2,3",
+            "1,,2",
+            "",
+            "\r",
+            "   ",
+            "label,item",
+            "LABEL,Item",
+            "00000000000000001,2",
+        ];
+        for line in lines {
+            for lineno in [1, 2] {
+                assert_eq!(
+                    parse_csv_bytes(&path, lineno, line.as_bytes()),
+                    parse_csv_line(&path, lineno, line),
+                    "{line:?} on line {lineno}"
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Files of lines built from [`FRAGMENTS`] decode exactly as the
+        /// reference reader decodes them: the same pairs, or the same
+        /// error naming the same line.
+        #[test]
+        fn csv_source_agrees_with_reference_reader(
+            lines in proptest::prop::collection::vec(
+                proptest::prop::collection::vec(0..FRAGMENTS.len(), 0..6),
+                1..8,
+            ),
+            crlf in proptest::any::<bool>(),
+        ) {
+            let path = tmp("differential.csv");
+            let eol = if crlf { "\r\n" } else { "\n" };
+            let body: String = lines
+                .iter()
+                .map(|line| line.iter().map(|&f| FRAGMENTS[f]).collect::<String>() + eol)
+                .collect();
+            std::fs::write(&path, &body).unwrap();
+            let got = drain(CsvPairSource::open(&path).unwrap());
+            proptest::prop_assert_eq!(got, reference_csv(&path), "{:?}", body);
+        }
+    }
+
+    #[test]
     fn synthetic_source_is_seed_deterministic_and_sized() {
         let config = SyntheticSourceConfig {
             classes: 4,
@@ -453,6 +706,32 @@ mod tests {
         }
         std::fs::write(&path, body).unwrap();
         assert_rewind_replays(CsvPairSource::open(&path).unwrap(), 120);
+    }
+
+    #[test]
+    fn csv_rewind_replays_across_buffer_boundaries() {
+        let path = tmp("rewind-wide.csv");
+        let mut body = String::from("label,item\r\n");
+        let mut ends = Vec::new();
+        for i in 0..1500u32 {
+            // Ragged widths (padded lines take the `str` path) so lines
+            // land across the reader's 8 KiB buffer refills.
+            let pad = (i % 23) as usize;
+            let eol = if i % 4 == 0 { "\r\n" } else { "\n" };
+            body.push_str(&format!("{:pad$}{},{}{eol}", "", i % 7, i * 13));
+            ends.push(body.len());
+        }
+        let straddles = |at: usize| ends.windows(2).any(|w| w[0] < at && at < w[1] - 1);
+        assert!(
+            straddles(8192) && straddles(16384),
+            "no line crosses a refill"
+        );
+        std::fs::write(&path, body).unwrap();
+        assert_eq!(
+            drain(CsvPairSource::open(&path).unwrap()).unwrap(),
+            reference_csv(&path).unwrap()
+        );
+        assert_rewind_replays(CsvPairSource::open(&path).unwrap(), 1500);
     }
 
     #[test]
