@@ -1,22 +1,27 @@
-//! Oracle privatize/aggregate throughput: the batch runtime versus the
+//! Oracle privatize/aggregate throughput: the sharded runtime versus the
 //! seed's per-report paths, at the acceptance workload `d = 1024`,
 //! `n = 100_000`, ε = 1.
 //!
-//! Three aggregation implementations are raced for OUE-style bit reports:
+//! Every sharded scenario runs the one fold entry point —
+//! [`FnStage`] + `Exec::in_process().fold` — over the whole input in one
+//! chunk. Three aggregation implementations are raced for OUE-style bit
+//! reports:
 //!
 //! * `per_bit` — the naive loop (`get(i)` over the whole domain),
 //! * `iter_ones` — the seed's per-set-bit counter increments,
-//! * `colsum` — the word-parallel bit-sliced column sums, single-threaded
-//!   and sharded across `MCIM_THREADS` workers.
+//! * `colsum` — the word-parallel bit-sliced column sums (`absorb_all`),
+//!   single-threaded and sharded across `MCIM_THREADS` workers.
 //!
-//! An `exec_modes` slice additionally races the three `Exec` plan modes
-//! (sequential / batch / stream) of one full frequency pipeline at
-//! `d = 1024`, `n = 1M` (`MCIM_BENCH_EXEC_N` overrides), so the dispatch
-//! layer's overhead is tracked in `BENCH_oracle_throughput.json`: batch
-//! and stream must stay within noise of each other, and on multi-core
-//! machines both must keep their multiple over sequential (the JSON's
-//! `cores` field records the machine's real parallelism — on one core
-//! the three modes are expected to tie).
+//! An `exec_plan` slice additionally sweeps `(threads, chunk)` plans of
+//! one full frequency pipeline at `d = 1024`, `n = 1M`
+//! (`MCIM_BENCH_EXEC_N` overrides): one thread at the default chunk
+//! (`exec_plan_sequential`), `MCIM_THREADS` workers over one whole-input
+//! chunk (`exec_plan_batch_tn`) and at the default chunk
+//! (`exec_plan_stream_tn`). The two multi-thread plans must stay within
+//! noise of each other, and on multi-core machines both must keep their
+//! multiple over one thread (the JSON's `cores` field records the
+//! machine's real parallelism — on one core the three plans are expected
+//! to tie).
 //!
 //! A `dist_reduce` slice then races the same pipeline on the
 //! multi-process distributed reducer with 1, 2 and 4 locally spawned
@@ -24,6 +29,9 @@
 //! `dist_reduce_w1` vs `exec_plan_stream_tn` prices the protocol tax,
 //! `dist_reduce_w4_vs_w1` the multi-process scaling — all bit-identical
 //! outputs by the executor contract.
+//!
+//! A `pipeline` slice times the four Fig. 6 frameworks end to end
+//! (`pipeline_<fw>`: n = 20k, c = 4, d = 256, ε = 2, one thread).
 //!
 //! Prints a table, saves `results/oracle_throughput.csv`, and emits the
 //! machine-readable baseline `results/BENCH_oracle_throughput.json` that
@@ -44,9 +52,11 @@ use mcim_core::{
     CorrelatedPerturbation, CpAggregator, Domains, Framework, LabelItem, ValidityInput,
     ValidityPerturbation, VpAggregator,
 };
-use mcim_oracles::exec::Exec;
+use mcim_oracles::exec::{Exec, Executor as _, FnStage};
 use mcim_oracles::stream::SliceSource;
-use mcim_oracles::{parallel, Aggregator, Eps, Oracle, Report};
+use mcim_oracles::wire::WireState;
+use mcim_oracles::{parallel, Aggregator, Eps, Oracle, Report, Result};
+use rand::rngs::StdRng;
 
 const D: u32 = 1024;
 const EPS: f64 = 1.0;
@@ -85,6 +95,51 @@ fn scenario(name: &'static str, n: usize, trials: usize, f: impl FnMut() -> u64)
     }
 }
 
+/// Privatizes `items` one report at a time, shard `s` with
+/// `shard_rng(seed, s)` — the streams a sharded stage draws. Untimed
+/// set-up for the aggregation scenarios.
+fn privatize_all<T, R>(items: &[T], seed: u64, f: impl Fn(&T, &mut StdRng) -> R) -> Vec<R> {
+    let mut out = Vec::with_capacity(items.len());
+    for (shard, chunk) in items.chunks(parallel::SHARD_SIZE).enumerate() {
+        let mut rng = parallel::shard_rng(seed, shard as u64);
+        out.extend(chunk.iter().map(|item| f(item, &mut rng)));
+    }
+    out
+}
+
+/// Absorbs `reports` through an [`FnStage`] of the aggregator's block
+/// `absorb_all` and `merge`, folded in-process on `threads` workers over
+/// the whole input in one chunk.
+fn fold_absorb<R, A>(
+    reports: &[R],
+    template: &A,
+    threads: usize,
+    absorb_all: impl Fn(&mut A, &[R]) -> Result<()> + Sync,
+    merge: impl Fn(&mut A, &A) -> Result<()> + Sync,
+) -> A
+where
+    R: Sync,
+    A: Clone + Send + Sync + WireState,
+{
+    // Stream items are report positions; each shard fragment absorbs the
+    // reports it covers as one block.
+    let positions: Vec<u32> = (0..reports.len() as u32).collect();
+    let stage = FnStage::new(
+        template.clone(),
+        |_rng, abs, items: &[u32], acc: &mut A| {
+            let start = abs as usize;
+            absorb_all(acc, &reports[start..start + items.len()])
+        },
+        merge,
+    );
+    Exec::new()
+        .threads(threads)
+        .chunk_size(reports.len())
+        .in_process()
+        .fold(&mut SliceSource::new(&positions), 0, &stage)
+        .expect("absorbing valid reports")
+}
+
 fn main() {
     let n: usize = std::env::var("MCIM_BENCH_N")
         .ok()
@@ -114,14 +169,33 @@ fn main() {
         }
         acc
     }));
-    scenarios.push(scenario("oue_privatize_batch_t1", n, trials, || {
-        oue.privatize_batch(&values, 1, 1).unwrap().len() as u64
-    }));
+    // The same per-report privatize loop as a stage sharded across
+    // `MCIM_THREADS` workers.
+    let privatize_stage = FnStage::new(
+        0u64,
+        |rng, _abs, chunk: &[u32], acc: &mut u64| {
+            for &v in chunk {
+                if let Report::Bits(b) = oue.privatize(v, rng)? {
+                    *acc = acc.wrapping_add(b.count_ones() as u64);
+                }
+            }
+            Ok(())
+        },
+        |a: &mut u64, b: &u64| {
+            *a = a.wrapping_add(*b);
+            Ok(())
+        },
+    );
     scenarios.push(scenario("oue_privatize_batch_tn", n, trials, || {
-        oue.privatize_batch(&values, 1, threads).unwrap().len() as u64
+        Exec::new()
+            .threads(threads)
+            .chunk_size(n)
+            .in_process()
+            .fold(&mut SliceSource::new(&values), 1, &privatize_stage)
+            .unwrap()
     }));
 
-    let reports = oue.privatize_batch(&values, 2, threads).unwrap();
+    let reports = privatize_all(&values, 2, |&v, rng| oue.privatize(v, rng).unwrap());
     let bit_reports: Vec<&mcim_oracles::BitVec> = reports
         .iter()
         .map(|r| match r {
@@ -150,15 +224,22 @@ fn main() {
         }
         counts.iter().sum()
     }));
-    scenarios.push(scenario("oue_aggregate_colsum_t1", n, trials, || {
-        let mut agg = Aggregator::new(&oue);
-        agg.absorb_batch(&reports, 1).unwrap();
+    let oue_template = Aggregator::new(&oue);
+    let oue_colsum = |threads: usize| {
+        let agg = fold_absorb(
+            &reports,
+            &oue_template,
+            threads,
+            |agg, block| agg.absorb_all(block),
+            Aggregator::merge,
+        );
         agg.raw_counts().iter().sum()
+    };
+    scenarios.push(scenario("oue_aggregate_colsum_t1", n, trials, || {
+        oue_colsum(1)
     }));
     scenarios.push(scenario("oue_aggregate_colsum_tn", n, trials, || {
-        let mut agg = Aggregator::new(&oue);
-        agg.absorb_batch(&reports, threads).unwrap();
-        agg.raw_counts().iter().sum()
+        oue_colsum(threads)
     }));
 
     // ----------------------------------------------------------- VP ----
@@ -172,7 +253,9 @@ fn main() {
             }
         })
         .collect();
-    let vp_reports = vp.privatize_batch(&vp_inputs, 3, threads).unwrap();
+    let vp_reports = privatize_all(&vp_inputs, 3, |&input, rng| {
+        vp.privatize(input, rng).unwrap()
+    });
     scenarios.push(scenario("vp_aggregate_absorb", n, trials, || {
         let mut agg = VpAggregator::new(&vp);
         for r in &vp_reports {
@@ -181,8 +264,13 @@ fn main() {
         agg.raw_counts().iter().sum()
     }));
     scenarios.push(scenario("vp_aggregate_colsum_tn", n, trials, || {
-        let mut agg = VpAggregator::new(&vp);
-        agg.absorb_batch(&vp_reports, threads).unwrap();
+        let agg = fold_absorb(
+            &vp_reports,
+            &VpAggregator::new(&vp),
+            threads,
+            |agg, block| agg.absorb_all(block),
+            VpAggregator::merge,
+        );
         agg.raw_counts().iter().sum()
     }));
 
@@ -192,7 +280,7 @@ fn main() {
     let cp_pairs: Vec<LabelItem> = (0..n as u32)
         .map(|u| LabelItem::new(u % 8, (u * 13) % D))
         .collect();
-    let cp_reports = cp.privatize_batch(&cp_pairs, 4, threads).unwrap();
+    let cp_reports = privatize_all(&cp_pairs, 4, |&pair, rng| cp.privatize(pair, rng).unwrap());
     scenarios.push(scenario("cp_aggregate_absorb", n, trials, || {
         let mut agg = CpAggregator::new(&cp);
         for r in &cp_reports {
@@ -201,8 +289,13 @@ fn main() {
         agg.report_count()
     }));
     scenarios.push(scenario("cp_aggregate_colsum_tn", n, trials, || {
-        let mut agg = CpAggregator::new(&cp);
-        agg.absorb_batch(&cp_reports, threads).unwrap();
+        let agg = fold_absorb(
+            &cp_reports,
+            &CpAggregator::new(&cp),
+            threads,
+            |agg, block| agg.absorb_all(block),
+            CpAggregator::merge,
+        );
         agg.report_count()
     }));
 
@@ -211,7 +304,7 @@ fn main() {
     let olh_n = (n / 10).max(1);
     let olh = Oracle::olh(Eps::new(2.0).unwrap(), D).unwrap();
     let olh_values: Vec<u32> = (0..olh_n as u32).map(|u| u % D).collect();
-    let olh_reports = olh.privatize_batch(&olh_values, 5, threads).unwrap();
+    let olh_reports = privatize_all(&olh_values, 5, |&v, rng| olh.privatize(v, rng).unwrap());
     let olh_mech = match &olh {
         Oracle::Olh(m) => m.clone(),
         _ => unreachable!(),
@@ -231,8 +324,13 @@ fn main() {
         counts.iter().sum()
     }));
     scenarios.push(scenario("olh_aggregate_blocked_tn", olh_n, trials, || {
-        let mut agg = Aggregator::new(&olh);
-        agg.absorb_batch(&olh_reports, threads).unwrap();
+        let agg = fold_absorb(
+            &olh_reports,
+            &Aggregator::new(&olh),
+            threads,
+            |agg, block| agg.absorb_all(block),
+            Aggregator::merge,
+        );
         agg.raw_counts().iter().sum()
     }));
     // The candidate-set entry point (PEM-style aggregation over an explicit
@@ -254,8 +352,9 @@ fn main() {
 
     // ------------------------------------------------- exec dispatch ----
     // The `Exec` plan layer must cost nothing measurable over driving the
-    // sharded machinery directly: race the three plan modes of one full
-    // frequency pipeline (PTS: GRR label + OUE item per user) end to end.
+    // sharded machinery directly: sweep `(threads, chunk)` plans of one
+    // full frequency pipeline (PTS: GRR label + OUE item per user) end to
+    // end.
     let exec_n: usize = std::env::var("MCIM_BENCH_EXEC_N")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -272,17 +371,18 @@ fn main() {
         result.comm.total_report_bits ^ result.table.get(0, 0).to_bits()
     };
     scenarios.push(scenario("exec_plan_sequential", exec_n, trials, || {
-        run_plan(&Exec::sequential().seed(6))
+        run_plan(&Exec::seeded(6).threads(1))
     }));
+    let whole_input_plan = Exec::seeded(6).threads(threads).chunk_size(exec_n);
     scenarios.push(scenario("exec_plan_batch_tn", exec_n, trials, || {
-        run_plan(&Exec::batch().seed(6).threads(threads))
+        run_plan(&whole_input_plan)
     }));
     scenarios.push(scenario("exec_plan_stream_tn", exec_n, trials, || {
-        run_plan(&Exec::stream().seed(6).threads(threads))
+        run_plan(&Exec::seeded(6).threads(threads))
     }));
 
     // ---------------------------------------------------- metrics tax ----
-    // The same batch pipeline with the global `mcim_obs` registry
+    // The same whole-input pipeline with the global `mcim_obs` registry
     // recording. Disabled (every scenario above), each instrumentation
     // site folds to one relaxed atomic load, so the plain scenarios
     // already price the off path; enabled it must stay within noise —
@@ -295,7 +395,7 @@ fn main() {
         "exec_plan_batch_tn_metrics",
         exec_n,
         trials,
-        || run_plan(&Exec::batch().seed(6).threads(threads)),
+        || run_plan(&whole_input_plan),
     ));
     mcim_obs::set_enabled(false);
     let obs_snapshot = mcim_obs::snapshot();
@@ -336,6 +436,36 @@ fn main() {
         }));
         drop(coordinator);
         drop(spawned);
+    }
+
+    // ------------------------------------------------------ pipeline ----
+    // The four Fig. 6 frameworks end to end (client privatization +
+    // server aggregation + calibration) on one thread.
+    let pipeline_domains = Domains::new(4, 256).unwrap();
+    let pipeline_n = 20_000usize;
+    let pipeline_pairs: Vec<LabelItem> = (0..pipeline_n as u32)
+        .map(|u| LabelItem::new(u % 4, (u * 31) % 256))
+        .collect();
+    let pipeline_eps = Eps::new(2.0).unwrap();
+    let pipeline_plan = Exec::seeded(9).threads(1);
+    for fw in Framework::fig6_set() {
+        let name: &'static str = match fw {
+            Framework::Hec => "pipeline_hec",
+            Framework::Ptj => "pipeline_ptj",
+            Framework::Pts { .. } => "pipeline_pts",
+            Framework::PtsCp { .. } => "pipeline_pts_cp",
+        };
+        scenarios.push(scenario(name, pipeline_n, trials, || {
+            let result = fw
+                .execute(
+                    pipeline_eps,
+                    pipeline_domains,
+                    &pipeline_plan,
+                    SliceSource::new(&pipeline_pairs),
+                )
+                .unwrap();
+            result.comm.total_report_bits ^ result.table.get(0, 0).to_bits()
+        }));
     }
 
     // ------------------------------------------------------- results ----

@@ -1,16 +1,19 @@
 //! Streaming ingestion: a paper-scale (default 5M-user) run under a fixed
-//! RSS budget, against the materialized batch path.
+//! RSS budget, against a materialized run.
 //!
-//! Three phases, run low-memory-first so the `VmHWM` high-water mark
-//! cleanly attributes the RSS jump to materialization:
+//! Every phase folds through the one entry point — an [`FnStage`] on
+//! `Exec::in_process().fold`. Three phases, run low-memory-first so the
+//! `VmHWM` high-water mark cleanly attributes the RSS jump to
+//! materialization:
 //!
-//! 1. `absorb_stream` — 5M OUE reports (`d = 1024`, ~136 B each ≈ 680 MB
-//!    if materialized) privatized on the fly and absorbed through the
-//!    bounded-memory chunked runtime: memory stays `O(chunk)`.
-//! 2. `run_stream` — the PTS-CP pipeline end-to-end from a synthetic pair
-//!    generator (no input `Vec` at all).
-//! 3. `absorb_batch` — the PR-2 path at `min(n, 500k)` reports, fully
-//!    materialized, to show the per-report RSS cost streaming avoids.
+//! 1. `oue_absorb_stream` — 5M OUE reports (`d = 1024`, ~136 B each ≈
+//!    680 MB if materialized) privatized on the fly from a value
+//!    generator and absorbed chunk by chunk: memory stays `O(chunk)`.
+//! 2. `pts_cp_run_stream` — the PTS-CP pipeline end-to-end from a
+//!    synthetic pair generator (no input `Vec` at all).
+//! 3. `oue_materialized_batch` — `min(n, 500k)` reports privatized into
+//!    one `Vec` and absorbed as one whole-input chunk, to show the
+//!    per-report RSS cost streaming avoids.
 //!
 //! Prints a table, saves `results/stream_ingestion.csv` and the
 //! machine-readable `results/BENCH_stream_ingestion.json` the CI uploads.
@@ -28,8 +31,8 @@ use std::time::Instant;
 use mcim_bench::{results_dir, Table};
 use mcim_core::{Domains, Framework};
 use mcim_datasets::{SyntheticPairSource, SyntheticSourceConfig};
-use mcim_oracles::exec::Exec;
-use mcim_oracles::stream::{ReportSource, StreamConfig};
+use mcim_oracles::exec::{Exec, Executor as _, FnStage};
+use mcim_oracles::stream::{ReportSource, SliceSource};
 use mcim_oracles::{parallel, Aggregator, Eps, Oracle, Report, Result};
 
 const D: u32 = 1024;
@@ -54,28 +57,19 @@ fn peak_rss_mib() -> f64 {
     0.0
 }
 
-/// Privatizes OUE reports on the fly through the bulk sampler — the
-/// "reports arriving from the network" simulation. Memory cost: none
-/// beyond the pull buffer.
-struct OueReportSource {
-    oracle: Oracle,
-    next_seed: u64,
+/// Generates the raw values `u % D` for users `0..n` on the fly — the
+/// "users arriving from the network" simulation. Memory cost: none beyond
+/// the pull buffer.
+struct ValueSource {
     emitted: u64,
     remaining: u64,
 }
 
-impl ReportSource for OueReportSource {
-    type Item = Report;
-    fn fill(&mut self, buf: &mut Vec<Report>, max: usize) -> Result<usize> {
+impl ReportSource for ValueSource {
+    type Item = u32;
+    fn fill(&mut self, buf: &mut Vec<u32>, max: usize) -> Result<usize> {
         let take = (self.remaining).min(max as u64) as usize;
-        if take == 0 {
-            return Ok(0);
-        }
-        let values: Vec<u32> = (0..take)
-            .map(|i| (self.emitted + i as u64) as u32 % D)
-            .collect();
-        buf.extend(self.oracle.privatize_batch(&values, self.next_seed, 1)?);
-        self.next_seed = self.next_seed.wrapping_add(1);
+        buf.extend((0..take).map(|i| (self.emitted + i as u64) as u32 % D));
         self.emitted += take as u64;
         self.remaining -= take as u64;
         Ok(take)
@@ -104,7 +98,6 @@ fn main() {
         .unwrap_or(16 * parallel::SHARD_SIZE);
     let threads = parallel::configured_threads();
     let eps = Eps::new(1.0).unwrap();
-    let config = StreamConfig::new(threads).with_chunk_items(chunk);
     let rss_baseline = peak_rss_mib();
     println!(
         "== stream_ingestion | n={n} d={D} chunk={chunk} threads={threads} baseline_rss={rss_baseline:.0}MiB =="
@@ -128,17 +121,32 @@ fn main() {
         });
     };
 
-    // Phase 1: stream-absorb n OUE reports with bounded memory.
+    // Phase 1: privatize and absorb n OUE reports with bounded memory:
+    // each shard fragment privatizes its users into one block and absorbs
+    // it word-parallel.
     let oracle = Oracle::oue(eps, D).unwrap();
-    let mut agg = Aggregator::new(&oracle);
-    let mut source = OueReportSource {
-        oracle: oracle.clone(),
-        next_seed: 1,
+    let privatize_absorb = FnStage::new(
+        Aggregator::new(&oracle),
+        |rng, _abs, values: &[u32], agg: &mut Aggregator| {
+            let block = values
+                .iter()
+                .map(|&v| oracle.privatize(v, rng))
+                .collect::<Result<Vec<_>>>()?;
+            agg.absorb_all(&block)
+        },
+        Aggregator::merge,
+    );
+    let mut source = ValueSource {
         emitted: 0,
         remaining: n,
     };
     let start = Instant::now();
-    agg.absorb_stream(&mut source, config).unwrap();
+    let agg = Exec::new()
+        .threads(threads)
+        .chunk_size(chunk)
+        .in_process()
+        .fold(&mut source, 1, &privatize_absorb)
+        .unwrap();
     record("oue_absorb_stream", n, start);
     assert_eq!(agg.report_count(), n);
     std::hint::black_box(agg.raw_counts().iter().sum::<u64>());
@@ -153,7 +161,7 @@ fn main() {
         zipf_s: 1.5,
         seed: 2,
     });
-    let plan = Exec::stream().seed(3).threads(threads).chunk_size(chunk);
+    let plan = Exec::seeded(3).threads(threads).chunk_size(chunk);
     let start = Instant::now();
     let result = Framework::PtsCp { label_frac: 0.5 }
         .execute(eps, domains, &plan, &mut pairs)
@@ -161,14 +169,37 @@ fn main() {
     record("pts_cp_run_stream", n_freq, start);
     std::hint::black_box(result.table.get(0, 0));
 
-    // Phase 3: the materialized batch path (the memory cost streaming
-    // avoids) at a size that still fits CI.
+    // Phase 3: a materialized run (the memory cost streaming avoids) at a
+    // size that still fits CI: every report privatized into one `Vec`
+    // (shard s with shard_rng(4, s), on up to `threads` workers), then
+    // absorbed as one whole-input chunk.
     let n_batch = n.min(500_000);
     let values: Vec<u32> = (0..n_batch).map(|u| u as u32 % D).collect();
     let start = Instant::now();
-    let reports = oracle.privatize_batch(&values, 4, threads).unwrap();
-    let mut agg = Aggregator::new(&oracle);
-    agg.absorb_batch(&reports, threads).unwrap();
+    let reports: Vec<Report> =
+        parallel::try_fill_shards(&values, threads, |shard, chunk, slots| {
+            let mut rng = parallel::shard_rng(4, shard);
+            for (&v, slot) in chunk.iter().zip(slots.iter_mut()) {
+                *slot = Some(oracle.privatize(v, &mut rng)?);
+            }
+            Ok::<(), mcim_oracles::Error>(())
+        })
+        .unwrap();
+    let positions: Vec<u32> = (0..reports.len() as u32).collect();
+    let absorb = FnStage::new(
+        Aggregator::new(&oracle),
+        |_rng, abs, items: &[u32], agg: &mut Aggregator| {
+            let start = abs as usize;
+            agg.absorb_all(&reports[start..start + items.len()])
+        },
+        Aggregator::merge,
+    );
+    let agg = Exec::new()
+        .threads(threads)
+        .chunk_size(reports.len())
+        .in_process()
+        .fold(&mut SliceSource::new(&positions), 0, &absorb)
+        .unwrap();
     record("oue_materialized_batch", n_batch, start);
     std::hint::black_box(agg.raw_counts().iter().sum::<u64>());
     let report_bytes: usize = reports.iter().map(|r| r.size_bits() / 8 + 56).sum();

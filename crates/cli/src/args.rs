@@ -117,19 +117,25 @@ impl Args {
         Ok(())
     }
 
+    /// Whether `--chunk-size` asks for the streaming input path (pairs
+    /// pulled off the file chunk by chunk against declared domains)
+    /// instead of reading the whole file first to infer the domains.
+    pub fn streaming(&self) -> bool {
+        self.optional("chunk-size").is_some()
+    }
+
     /// Builds the [`Exec`] plan shared by the `freq` and `topk` commands
     /// from `--seed`, `--threads`, `--chunk-size` and `--rng-contract` —
     /// the single place the CLI's execution options are interpreted.
     ///
-    /// Without `--chunk-size` the plan is a batch plan (the input is
-    /// materialized anyway); with it, a stream plan whose chunk is clamped
-    /// to one shard (chunks smaller than a shard cannot parallelize).
-    /// `--threads` wins over the `MCIM_THREADS` environment variable,
-    /// which wins over the machine's parallelism; results never depend on
-    /// the choice. `--rng-contract` only accepts the current contract
-    /// (`v2`) — `v1` is retired and errors with a migration hint rather
-    /// than silently re-deriving different bits. Print the resolved plan
-    /// with `--verbose`.
+    /// `--chunk-size` sets the plan's chunk, clamped up to one shard
+    /// (chunks smaller than a shard cannot parallelize); without it the
+    /// plan keeps the default chunk. `--threads` wins over the
+    /// `MCIM_THREADS` environment variable, which wins over the machine's
+    /// parallelism. Results never depend on either knob. `--rng-contract`
+    /// only accepts the current contract (`v2`) — `v1` is retired and
+    /// errors with a migration hint rather than silently re-deriving
+    /// different bits. Print the resolved plan with `--verbose`.
     pub fn exec_plan(&self) -> Result<Exec, ArgError> {
         use mcim_oracles::exec::RngContract;
         if let Some(contract) = self.optional("rng-contract") {
@@ -152,13 +158,10 @@ impl Args {
             }
         }
         let mut plan = Exec::seeded(self.num_or("seed", 0u64)?);
-        plan = if self.optional("chunk-size").is_some() {
+        if self.streaming() {
             let chunk: usize = self.required_num("chunk-size")?;
-            plan.mode(mcim_oracles::exec::ExecMode::Stream)
-                .chunk_size(chunk.max(parallel::SHARD_SIZE))
-        } else {
-            plan.mode(mcim_oracles::exec::ExecMode::Batch)
-        };
+            plan = plan.chunk_size(chunk.max(parallel::SHARD_SIZE));
+        }
         if self.optional("threads").is_some() {
             plan = plan.threads(self.required_num::<usize>("threads")?.max(1));
         }
@@ -225,22 +228,19 @@ mod tests {
 
     #[test]
     fn exec_plan_reflects_options() {
-        use mcim_oracles::exec::ExecMode;
         use mcim_oracles::parallel::SHARD_SIZE;
+        use mcim_oracles::stream::DEFAULT_CHUNK_ITEMS;
 
-        let batch = parse(&["freq", "--seed", "9", "--threads", "3"])
-            .unwrap()
-            .exec_plan()
-            .unwrap();
-        assert_eq!(batch.resolved_mode(), ExecMode::Batch);
-        assert_eq!(batch.base_seed(), 9);
-        assert_eq!(batch.resolved_threads(), 3);
+        let whole = parse(&["freq", "--seed", "9", "--threads", "3"]).unwrap();
+        assert!(!whole.streaming());
+        let whole = whole.exec_plan().unwrap();
+        assert_eq!(whole.resolved_chunk_items(), DEFAULT_CHUNK_ITEMS);
+        assert_eq!(whole.base_seed(), 9);
+        assert_eq!(whole.resolved_threads(), 3);
 
-        let stream = parse(&["freq", "--chunk-size", "10"])
-            .unwrap()
-            .exec_plan()
-            .unwrap();
-        assert_eq!(stream.resolved_mode(), ExecMode::Stream);
+        let stream = parse(&["freq", "--chunk-size", "10"]).unwrap();
+        assert!(stream.streaming());
+        let stream = stream.exec_plan().unwrap();
         assert_eq!(
             stream.resolved_chunk_items(),
             SHARD_SIZE,

@@ -17,7 +17,6 @@ use std::process::ExitCode;
 
 use args::{ArgError, Args};
 use mcim_core::Framework;
-use mcim_oracles::exec::ExecMode;
 use mcim_oracles::stream::SliceSource;
 use mcim_topk::{TopKConfig, TopKMethod};
 
@@ -74,15 +73,16 @@ COMMON OPTIONS:
                   envelope when the path ends in `.json`. Metrics never
                   change results — estimates are bit-identical with the
                   snapshot on or off (freq/topk only)
-  --verbose       print the resolved execution plan (mode/seed/threads/
-                  chunk/contract) before running, then the telemetry
+  --verbose       print the resolved execution plan (seed/threads/chunk/
+                  contract) before running, then the telemetry
                   snapshot table (stage/fold timings plus the distributed
                   reducer's I/O and fold-report counters) after
   --output <file> write results as CSV (default: print a summary)
 
 These options assemble one execution plan (see `Exec` in the library):
-freq/topk run `Framework::execute` / `mcim_topk::execute` with a batch
-plan, or a stream plan when --chunk-size is given.
+freq/topk run `Framework::execute` / `mcim_topk::execute` with it. Without
+--chunk-size the whole input file is read first (domains may be inferred);
+with it, pairs are pulled off the file chunk by chunk.
 
 freq OPTIONS:
   --framework <hec|ptj|pts|pts-cp>   (default pts-cp)
@@ -336,8 +336,8 @@ impl PairSource {
     }
 }
 
-/// Validates every pair against the declared domains (the batch path's
-/// `read_pairs` does the same check up front — streaming must fail fast
+/// Validates every pair against the declared domains (the whole-file
+/// path's `read_pairs` does the same check up front — streaming must fail fast
 /// too, not feed out-of-domain items into the miners) and counts the
 /// pairs it yields, so the summary line can report the user count
 /// (`comm.users` counts *reports*, and PTS users submit a label report
@@ -419,30 +419,27 @@ fn cmd_freq(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             eprintln!("dist: {} workers", backend.workers());
         }
     }
-    let (result, n, domains) = match plan.resolved_mode() {
-        ExecMode::Stream => {
-            let (domains, source) = stream_setup(args, input)?;
-            let mut source = source.counted(domains);
-            let result = match &dist {
-                Some(backend) => framework.execute_on(backend, eps, domains, &mut source)?,
-                None => framework.execute(eps, domains, &plan, &mut source)?,
-            };
-            (result, source.yielded, domains)
-        }
-        _ => {
-            let data = io::read_pairs(
-                Path::new(input),
-                args.num_or("classes", 0u32)?,
-                args.num_or("items", 0u32)?,
-            )?;
-            let source = SliceSource::new(&data.pairs);
-            let result = match &dist {
-                Some(backend) => framework.execute_on(backend, eps, data.domains, source)?,
-                None => framework.execute(eps, data.domains, &plan, source)?,
-            };
-            let n = data.pairs.len() as u64;
-            (result, n, data.domains)
-        }
+    let (result, n, domains) = if args.streaming() {
+        let (domains, source) = stream_setup(args, input)?;
+        let mut source = source.counted(domains);
+        let result = match &dist {
+            Some(backend) => framework.execute_on(backend, eps, domains, &mut source)?,
+            None => framework.execute(eps, domains, &plan, &mut source)?,
+        };
+        (result, source.yielded, domains)
+    } else {
+        let data = io::read_pairs(
+            Path::new(input),
+            args.num_or("classes", 0u32)?,
+            args.num_or("items", 0u32)?,
+        )?;
+        let source = SliceSource::new(&data.pairs);
+        let result = match &dist {
+            Some(backend) => framework.execute_on(backend, eps, data.domains, source)?,
+            None => framework.execute(eps, data.domains, &plan, source)?,
+        };
+        let n = data.pairs.len() as u64;
+        (result, n, data.domains)
     };
     // Shut the backend down before snapshotting so its final I/O deltas
     // (including the Shutdown frames) land in the exported metrics. The
@@ -518,34 +515,27 @@ fn cmd_topk(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
             eprintln!("dist: {} workers", backend.workers());
         }
     }
-    let (result, n, domains) = match plan.resolved_mode() {
-        ExecMode::Stream => {
-            let (domains, source) = stream_setup(args, input)?;
-            let mut source = source.counted(domains);
-            let result = match &dist {
-                Some(backend) => {
-                    mcim_topk::execute_on(method, config, domains, backend, &mut source)?
-                }
-                None => mcim_topk::execute(method, config, domains, &plan, &mut source)?,
-            };
-            (result, source.yielded, domains)
-        }
-        _ => {
-            let data = io::read_pairs(
-                Path::new(input),
-                args.num_or("classes", 0u32)?,
-                args.num_or("items", 0u32)?,
-            )?;
-            let source = SliceSource::new(&data.pairs);
-            let result = match &dist {
-                Some(backend) => {
-                    mcim_topk::execute_on(method, config, data.domains, backend, source)?
-                }
-                None => mcim_topk::execute(method, config, data.domains, &plan, source)?,
-            };
-            let n = data.pairs.len() as u64;
-            (result, n, data.domains)
-        }
+    let (result, n, domains) = if args.streaming() {
+        let (domains, source) = stream_setup(args, input)?;
+        let mut source = source.counted(domains);
+        let result = match &dist {
+            Some(backend) => mcim_topk::execute_on(method, config, domains, backend, &mut source)?,
+            None => mcim_topk::execute(method, config, domains, &plan, &mut source)?,
+        };
+        (result, source.yielded, domains)
+    } else {
+        let data = io::read_pairs(
+            Path::new(input),
+            args.num_or("classes", 0u32)?,
+            args.num_or("items", 0u32)?,
+        )?;
+        let source = SliceSource::new(&data.pairs);
+        let result = match &dist {
+            Some(backend) => mcim_topk::execute_on(method, config, data.domains, backend, source)?,
+            None => mcim_topk::execute(method, config, data.domains, &plan, source)?,
+        };
+        let n = data.pairs.len() as u64;
+        (result, n, data.domains)
     };
     // See cmd_freq: the backend flushes its final I/O deltas on drop, and
     // the snapshot table replaces the bespoke session-report line.

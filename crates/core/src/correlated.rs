@@ -29,7 +29,7 @@
 
 use rand::Rng;
 
-use mcim_oracles::{parallel, stream, BitVec, ColumnCounter, Eps, Error, Grr, Result};
+use mcim_oracles::{BitVec, ColumnCounter, Eps, Error, Grr, Result};
 
 use crate::validity::{ValidityInput, ValidityPerturbation};
 use crate::{Domains, FrequencyTable, LabelItem};
@@ -108,24 +108,6 @@ impl CorrelatedPerturbation {
         Ok(CpReport {
             label: perturbed_label,
             bits: self.item_mech.privatize(input, rng)?,
-        })
-    }
-
-    /// Privatizes a batch of pairs on up to `threads` workers with the
-    /// sharded deterministic RNG scheme of [`parallel`]: output is
-    /// bit-identical for every thread count.
-    pub fn privatize_batch(
-        &self,
-        pairs: &[LabelItem],
-        base_seed: u64,
-        threads: usize,
-    ) -> Result<Vec<CpReport>> {
-        parallel::try_fill_shards(pairs, threads, |shard, chunk, slots| {
-            let mut rng = parallel::shard_rng(base_seed, shard);
-            for (&pair, slot) in chunk.iter().zip(slots.iter_mut()) {
-                *slot = Some(self.privatize(pair, &mut rng)?);
-            }
-            Ok(())
         })
     }
 
@@ -271,58 +253,6 @@ impl CpAggregator {
         outcome
     }
 
-    /// [`CpAggregator::absorb_all`] sharded across up to `threads` workers;
-    /// per-shard counter sums merge associatively, so results are
-    /// bit-identical for every thread count.
-    pub fn absorb_batch(&mut self, reports: &[CpReport], threads: usize) -> Result<()> {
-        if threads.max(1) == 1 || reports.len() <= parallel::SHARD_SIZE {
-            return self.absorb_all(reports);
-        }
-        let template = self.fresh();
-        let shards = parallel::map_shards(reports, threads, |_, chunk| {
-            let mut local = template.clone();
-            local.absorb_all(chunk).map(|()| local)
-        });
-        for shard in shards {
-            self.merge(&shard?)?;
-        }
-        Ok(())
-    }
-
-    /// Absorbs every report pulled from `source` in bounded chunks —
-    /// [`CpAggregator::absorb_batch`] without the materialized slice.
-    /// Counts are bit-identical to the batch path for every chunk size and
-    /// thread count.
-    pub fn absorb_stream<S>(&mut self, source: &mut S, config: stream::StreamConfig) -> Result<()>
-    where
-        S: stream::ReportSource<Item = CpReport>,
-    {
-        let template = self.fresh();
-        let merged = stream::absorb_stream_with(
-            source,
-            config,
-            &template,
-            |agg: &mut CpAggregator, chunk| agg.absorb_all(chunk),
-            |a, b| a.merge(b),
-        )?;
-        self.merge(&merged)
-    }
-
-    /// An empty aggregator with this one's mechanism parameters (the
-    /// per-shard accumulator of [`CpAggregator::absorb_batch`]).
-    fn fresh(&self) -> Self {
-        CpAggregator {
-            domains: self.domains,
-            p1: self.p1,
-            q1: self.q1,
-            p2: self.p2,
-            q2: self.q2,
-            pair_counts: vec![0; self.pair_counts.len()],
-            label_counts: vec![0; self.label_counts.len()],
-            n: 0,
-        }
-    }
-
     /// Merges another aggregator over the same domains (sharded aggregation
     /// across threads).
     pub fn merge(&mut self, other: &CpAggregator) -> Result<()> {
@@ -411,6 +341,9 @@ impl mcim_oracles::wire::WireState for CpAggregator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mcim_oracles::exec::{Exec, Executor as _, FnStage};
+    use mcim_oracles::parallel::{shard_rng, SHARD_SIZE};
+    use mcim_oracles::stream::SliceSource;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -541,23 +474,37 @@ mod tests {
             .map(|u| LabelItem::new((u % 4) as u32, ((u * 13) % 70) as u32))
             .collect();
         let base = 77;
-        let reports = m.privatize_batch(&pairs, base, 1).unwrap();
-        assert_eq!(
-            m.privatize_batch(&pairs, base, 4).unwrap(),
-            reports,
-            "privatize_batch must be thread-count invariant"
-        );
+        // Reference: shard s privatized sequentially with shard_rng(base, s),
+        // absorbed one report at a time.
         let mut seq = CpAggregator::new(&m);
-        for r in &reports {
-            seq.absorb(r).unwrap();
+        for (s, chunk) in pairs.chunks(SHARD_SIZE).enumerate() {
+            let mut rng = shard_rng(base, s as u64);
+            for &pair in chunk {
+                seq.absorb(&m.privatize(pair, &mut rng).unwrap()).unwrap();
+            }
         }
-        for threads in [1, 2, 8] {
-            let mut batch = CpAggregator::new(&m);
-            batch.absorb_batch(&reports, threads).unwrap();
+        let stage = FnStage::new(
+            CpAggregator::new(&m),
+            |rng, _abs, chunk: &[LabelItem], agg: &mut CpAggregator| {
+                let block = chunk
+                    .iter()
+                    .map(|&pair| m.privatize(pair, rng))
+                    .collect::<Result<Vec<_>>>()?;
+                agg.absorb_all(&block)
+            },
+            CpAggregator::merge,
+        );
+        for (threads, chunk) in [(1, 9000), (2, 9000), (8, 9000), (8, SHARD_SIZE - 1)] {
+            let batch = Exec::new()
+                .threads(threads)
+                .chunk_size(chunk)
+                .in_process()
+                .fold(&mut SliceSource::new(&pairs), base, &stage)
+                .unwrap();
             assert_eq!(
                 batch.report_count(),
                 seq.report_count(),
-                "threads={threads}"
+                "threads={threads} chunk={chunk}"
             );
             for label in 0..4u32 {
                 assert_eq!(batch.raw_label_count(label), seq.raw_label_count(label));
@@ -565,7 +512,7 @@ mod tests {
                     assert_eq!(
                         batch.raw_pair_count(label, item),
                         seq.raw_pair_count(label, item),
-                        "({label},{item}) threads={threads}"
+                        "({label},{item}) threads={threads} chunk={chunk}"
                     );
                 }
             }

@@ -12,7 +12,7 @@
 
 use rand::Rng;
 
-use mcim_oracles::{parallel, stream, Aggregator, Eps, Error, Oracle, Report, Result};
+use mcim_oracles::{Aggregator, Eps, Error, Oracle, Report, Result};
 
 use crate::{Domains, FrequencyTable, LabelItem};
 
@@ -80,27 +80,6 @@ impl Hec {
             report: self.oracle.privatize(value, rng)?,
         })
     }
-
-    /// Privatizes a batch of pairs on up to `threads` workers; user
-    /// `pairs[i]` gets the global index `first_user_index + i` (group
-    /// assignment is positional in HEC). Sharded deterministic RNG streams
-    /// make the output bit-identical for every thread count.
-    pub fn privatize_batch(
-        &self,
-        first_user_index: u64,
-        pairs: &[LabelItem],
-        base_seed: u64,
-        threads: usize,
-    ) -> Result<Vec<HecReport>> {
-        parallel::try_fill_shards(pairs, threads, |shard, chunk, slots| {
-            let mut rng = parallel::shard_rng(base_seed, shard);
-            let start = first_user_index + shard * parallel::SHARD_SIZE as u64;
-            for (i, (&pair, slot)) in chunk.iter().zip(slots.iter_mut()).enumerate() {
-                *slot = Some(self.privatize(start + i as u64, pair, &mut rng)?);
-            }
-            Ok(())
-        })
-    }
 }
 
 /// Server-side aggregation: one oracle aggregator per class group.
@@ -157,55 +136,6 @@ impl HecAggregator {
             agg.absorb_all(bucket.iter().copied())?;
         }
         outcome
-    }
-
-    /// [`HecAggregator::absorb_all`] sharded across up to `threads`
-    /// workers; bit-identical for every thread count.
-    pub fn absorb_batch(&mut self, reports: &[HecReport], threads: usize) -> Result<()> {
-        if threads.max(1) == 1 || reports.len() <= parallel::SHARD_SIZE {
-            return self.absorb_all(reports);
-        }
-        let template = self.fresh();
-        let shards = parallel::map_shards(reports, threads, |_, chunk| {
-            let mut local = template.clone();
-            local.absorb_all(chunk).map(|()| local)
-        });
-        for shard in shards {
-            self.merge(&shard?)?;
-        }
-        Ok(())
-    }
-
-    /// Absorbs every report pulled from `source` in bounded chunks —
-    /// [`HecAggregator::absorb_batch`] without the materialized slice.
-    /// Counts are bit-identical to the batch path for every chunk size and
-    /// thread count.
-    pub fn absorb_stream<S>(&mut self, source: &mut S, config: stream::StreamConfig) -> Result<()>
-    where
-        S: stream::ReportSource<Item = HecReport>,
-    {
-        let template = self.fresh();
-        let merged = stream::absorb_stream_with(
-            source,
-            config,
-            &template,
-            |agg: &mut HecAggregator, chunk| agg.absorb_all(chunk),
-            |a, b| a.merge(b),
-        )?;
-        self.merge(&merged)
-    }
-
-    /// An empty aggregator with this one's group oracles (the per-shard
-    /// accumulator of [`HecAggregator::absorb_batch`]).
-    fn fresh(&self) -> Self {
-        HecAggregator {
-            domains: self.domains,
-            groups: self
-                .groups
-                .iter()
-                .map(|g| Aggregator::new(g.oracle()))
-                .collect(),
-        }
     }
 
     /// Merges another aggregator over the same framework (sharded

@@ -11,15 +11,16 @@
 //!   estimator Eq. (4).
 //!
 //! Each framework exposes the same two-phase API: a client-side
-//! `privatize`-style step and a streaming server-side aggregator, plus one
-//! generic [`execute`](Framework::execute) entry point that processes a
-//! whole dataset (or stream) under an [`Exec`] plan and returns the
-//! estimated [`FrequencyTable`] with communication statistics. Under
-//! RNG-contract v2 every [`Exec`] mode folds through the same sharded
-//! stages, so `execute` is a thin wrapper over
+//! per-report `privatize` step and a server-side aggregator (per-report
+//! `absorb`, block `absorb_all`, `merge`), plus one generic
+//! [`execute`](Framework::execute) entry point that processes a whole
+//! dataset (or stream) under an [`Exec`] plan and returns the estimated
+//! [`FrequencyTable`] with communication statistics. The bulk step is one
+//! [`stages`] object folded by an
+//! [`Executor`](mcim_oracles::exec::Executor) — the only way a fold runs —
+//! so `execute` is a thin wrapper over
 //! [`execute_on`](Framework::execute_on) with the plan's in-process
-//! executor; the legacy `run`/`run_batch`/`run_stream` triplet (and the
-//! separate v1 sequential stream it preserved) is gone.
+//! executor.
 
 mod hec;
 mod ptj;
@@ -132,13 +133,12 @@ impl Framework {
     }
 
     /// Runs the framework end-to-end under an [`Exec`] plan — the single
-    /// entry point for every execution mode.
+    /// entry point for every `(threads, chunk)` plan.
     ///
-    /// Under RNG-contract v2 every mode (sequential, batch, stream, auto)
-    /// folds the same sharded stages through the plan's in-process
-    /// [`Executor`], so seed-equal plans are bit-identical across modes,
-    /// thread counts and chunk sizes; mode only picks the resource
-    /// envelope. Pass any [`ReportSource`] of label-item pairs: a
+    /// Under RNG-contract v2 every plan folds the same sharded stages
+    /// through the plan's in-process [`Executor`], so seed-equal plans are
+    /// bit-identical across thread counts and chunk sizes, which only pick
+    /// the resource envelope. Pass any [`ReportSource`] of label-item pairs: a
     /// `SliceSource` over an in-memory dataset, a CSV/NDJSON file source,
     /// or `&mut source` to keep ownership.
     pub fn execute<S>(
@@ -239,6 +239,7 @@ impl Framework {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mcim_oracles::parallel::SHARD_SIZE;
     use mcim_oracles::stream::SliceSource;
 
     fn eps(v: f64) -> Eps {
@@ -265,7 +266,7 @@ mod tests {
         let (domains, data) = dataset(n);
         let truth = FrequencyTable::ground_truth(domains, &data).unwrap();
         for (i, fw) in Framework::fig6_set().into_iter().enumerate() {
-            let plan = Exec::sequential().seed(101 + i as u64);
+            let plan = Exec::seeded(101 + i as u64).threads(1);
             let res = fw
                 .execute(eps(4.0), domains, &plan, SliceSource::new(&data))
                 .unwrap();
@@ -297,36 +298,32 @@ mod tests {
         let (domains, data) = dataset(n);
         let truth = FrequencyTable::ground_truth(domains, &data).unwrap();
         for fw in Framework::fig6_set() {
-            let seq = fw
-                .execute(
-                    eps(4.0),
-                    domains,
-                    &Exec::batch().seed(9).threads(1),
-                    SliceSource::new(&data),
-                )
-                .unwrap();
-            for threads in [2, 8] {
-                let par = fw
-                    .execute(
-                        eps(4.0),
-                        domains,
-                        &Exec::batch().seed(9).threads(threads),
-                        SliceSource::new(&data),
-                    )
-                    .unwrap();
-                assert_eq!(par.comm, seq.comm, "{} threads={threads}", fw.name());
+            let run = |threads: usize, chunk: usize| {
+                let plan = Exec::seeded(9).threads(threads).chunk_size(chunk);
+                fw.execute(eps(4.0), domains, &plan, SliceSource::new(&data))
+                    .unwrap()
+            };
+            let seq = run(1, n);
+            for (threads, chunk) in [(2, n), (8, n), (8, SHARD_SIZE - 1)] {
+                let par = run(threads, chunk);
+                assert_eq!(
+                    par.comm,
+                    seq.comm,
+                    "{} threads={threads} chunk={chunk}",
+                    fw.name()
+                );
                 for label in 0..3u32 {
                     for item in 0..8 {
                         assert!(
                             par.table.get(label, item) == seq.table.get(label, item),
-                            "{} threads={threads} diverged at ({label},{item})",
+                            "{} threads={threads} chunk={chunk} diverged at ({label},{item})",
                             fw.name()
                         );
                     }
                 }
             }
-            // Sanity: the batched runtime estimates the same quantity the
-            // sequential `run` does (HEC keeps its Theorem-4 bias).
+            // Sanity: the sharded runtime estimates the true frequencies
+            // (HEC keeps its Theorem-4 bias).
             for label in 0..3u32 {
                 for item in 0..8 {
                     let t = truth.get(label, item);
@@ -351,7 +348,7 @@ mod tests {
         // §V-C / Table II: PTJ pays O(c·d) bits per user, PTS pays O(d).
         let domains = Domains::new(5, 256).unwrap();
         let data: Vec<LabelItem> = (0..200).map(|u| LabelItem::new(u % 5, u % 256)).collect();
-        let plan = Exec::sequential().seed(7);
+        let plan = Exec::seeded(7).threads(1);
         let ptj = Framework::Ptj
             .execute(eps(1.0), domains, &plan, SliceSource::new(&data))
             .unwrap();

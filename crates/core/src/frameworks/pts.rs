@@ -13,8 +13,7 @@
 use rand::Rng;
 
 use mcim_oracles::{
-    calibrate::unbiased_count, parallel, stream, BitVec, ColumnCounter, Eps, Error, Grr, Result,
-    UnaryEncoding,
+    calibrate::unbiased_count, BitVec, ColumnCounter, Eps, Error, Grr, Result, UnaryEncoding,
 };
 
 use crate::{Domains, FrequencyTable, LabelItem};
@@ -81,24 +80,6 @@ impl Pts {
         Ok(PtsReport {
             label: self.label_mech.perturb(pair.label, rng)?,
             bits: self.item_mech.privatize(pair.item, rng)?,
-        })
-    }
-
-    /// Privatizes a batch of pairs on up to `threads` workers with the
-    /// sharded deterministic RNG scheme of [`parallel`]: output is
-    /// bit-identical for every thread count.
-    pub fn privatize_batch(
-        &self,
-        pairs: &[LabelItem],
-        base_seed: u64,
-        threads: usize,
-    ) -> Result<Vec<PtsReport>> {
-        parallel::try_fill_shards(pairs, threads, |shard, chunk, slots| {
-            let mut rng = parallel::shard_rng(base_seed, shard);
-            for (&pair, slot) in chunk.iter().zip(slots.iter_mut()) {
-                *slot = Some(self.privatize(pair, &mut rng)?);
-            }
-            Ok(())
         })
     }
 }
@@ -199,58 +180,6 @@ impl PtsAggregator {
         outcome
     }
 
-    /// [`PtsAggregator::absorb_all`] sharded across up to `threads` workers;
-    /// per-shard counter sums merge associatively, so results are
-    /// bit-identical for every thread count.
-    pub fn absorb_batch(&mut self, reports: &[PtsReport], threads: usize) -> Result<()> {
-        if threads.max(1) == 1 || reports.len() <= parallel::SHARD_SIZE {
-            return self.absorb_all(reports);
-        }
-        let template = self.fresh();
-        let shards = parallel::map_shards(reports, threads, |_, chunk| {
-            let mut local = template.clone();
-            local.absorb_all(chunk).map(|()| local)
-        });
-        for shard in shards {
-            self.merge(&shard?)?;
-        }
-        Ok(())
-    }
-
-    /// Absorbs every report pulled from `source` in bounded chunks —
-    /// [`PtsAggregator::absorb_batch`] without the materialized slice.
-    /// Counts are bit-identical to the batch path for every chunk size and
-    /// thread count.
-    pub fn absorb_stream<S>(&mut self, source: &mut S, config: stream::StreamConfig) -> Result<()>
-    where
-        S: stream::ReportSource<Item = PtsReport>,
-    {
-        let template = self.fresh();
-        let merged = stream::absorb_stream_with(
-            source,
-            config,
-            &template,
-            |agg: &mut PtsAggregator, chunk| agg.absorb_all(chunk),
-            |a, b| a.merge(b),
-        )?;
-        self.merge(&merged)
-    }
-
-    /// An empty aggregator with this one's mechanism parameters (the
-    /// per-shard accumulator of [`PtsAggregator::absorb_batch`]).
-    fn fresh(&self) -> Self {
-        PtsAggregator {
-            domains: self.domains,
-            p1: self.p1,
-            q1: self.q1,
-            p2: self.p2,
-            q2: self.q2,
-            pair_counts: vec![0; self.pair_counts.len()],
-            label_counts: vec![0; self.label_counts.len()],
-            n: 0,
-        }
-    }
-
     /// Merges another aggregator over the same domains (sharded aggregation
     /// across threads).
     pub fn merge(&mut self, other: &PtsAggregator) -> Result<()> {
@@ -347,6 +276,9 @@ impl mcim_oracles::wire::WireState for PtsAggregator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mcim_oracles::exec::{Exec, Executor as _, FnStage};
+    use mcim_oracles::parallel::{shard_rng, SHARD_SIZE};
+    use mcim_oracles::stream::SliceSource;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -437,23 +369,37 @@ mod tests {
             .map(|u| LabelItem::new((u % 3) as u32, ((u * 11) % 130) as u32))
             .collect();
         let base = 3;
-        let reports = fw.privatize_batch(&pairs, base, 1).unwrap();
-        assert_eq!(
-            fw.privatize_batch(&pairs, base, 4).unwrap(),
-            reports,
-            "privatize_batch must be thread-count invariant"
-        );
+        // Reference: shard s privatized sequentially with shard_rng(base, s),
+        // absorbed one report at a time.
         let mut seq = PtsAggregator::new(&fw);
-        for r in &reports {
-            seq.absorb(r).unwrap();
+        for (s, chunk) in pairs.chunks(SHARD_SIZE).enumerate() {
+            let mut rng = shard_rng(base, s as u64);
+            for &pair in chunk {
+                seq.absorb(&fw.privatize(pair, &mut rng).unwrap()).unwrap();
+            }
         }
-        for threads in [1, 2, 8] {
-            let mut batch = PtsAggregator::new(&fw);
-            batch.absorb_batch(&reports, threads).unwrap();
+        let stage = FnStage::new(
+            PtsAggregator::new(&fw),
+            |rng, _abs, chunk: &[LabelItem], agg: &mut PtsAggregator| {
+                let block = chunk
+                    .iter()
+                    .map(|&pair| fw.privatize(pair, rng))
+                    .collect::<Result<Vec<_>>>()?;
+                agg.absorb_all(&block)
+            },
+            PtsAggregator::merge,
+        );
+        for (threads, chunk) in [(1, 9000), (2, 9000), (8, 9000), (8, SHARD_SIZE - 1)] {
+            let batch = Exec::new()
+                .threads(threads)
+                .chunk_size(chunk)
+                .in_process()
+                .fold(&mut SliceSource::new(&pairs), base, &stage)
+                .unwrap();
             assert_eq!(
                 batch.report_count(),
                 seq.report_count(),
-                "threads={threads}"
+                "threads={threads} chunk={chunk}"
             );
             for label in 0..3u32 {
                 for item in 0..130u32 {

@@ -265,7 +265,7 @@ impl FwArm for PtjArm {
     }
 
     fn absorb(&self, agg: &mut PtjAggregator, block: &[Report]) -> Result<()> {
-        agg.absorb_batch(block, 1)
+        agg.absorb_all(block)
     }
 
     fn merge(agg: &mut PtjAggregator, other: &PtjAggregator) -> Result<()> {
@@ -438,7 +438,7 @@ mod tests {
             r.finish().unwrap();
 
             let run = |s: &FwStage<M>| {
-                let exec = Exec::batch().seed(11).threads(2);
+                let exec = Exec::seeded(11).threads(2).chunk_size(data.len());
                 let part = exec
                     .in_process()
                     .fold(&mut SliceSource::new(data), 11, s)
@@ -463,7 +463,7 @@ mod tests {
         let domains = Domains::new(3, 16).unwrap();
         let eps = Eps::new(1.0).unwrap();
         let stage = FwStage::new(HecArm::new(eps, domains).unwrap());
-        let exec = Exec::batch().seed(3).threads(1);
+        let exec = Exec::seeded(3).threads(1).chunk_size(500);
         let part = exec
             .in_process()
             .fold(&mut SliceSource::new(&pairs(500)), 3, &stage)

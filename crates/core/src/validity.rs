@@ -20,7 +20,7 @@
 
 use rand::Rng;
 
-use mcim_oracles::{parallel, stream, BitVec, ColumnCounter, Eps, Error, Result, UnaryEncoding};
+use mcim_oracles::{BitVec, ColumnCounter, Eps, Error, Result, UnaryEncoding};
 
 /// The validity perturbation mechanism over item domain `[0, d)`.
 ///
@@ -107,24 +107,6 @@ impl ValidityPerturbation {
     pub fn privatize<R: Rng + ?Sized>(&self, input: ValidityInput, rng: &mut R) -> Result<BitVec> {
         let encoded = self.encode(input)?;
         self.ue.perturb_bits(&encoded, rng)
-    }
-
-    /// Privatizes a batch of inputs on up to `threads` workers with the
-    /// sharded deterministic RNG scheme of [`parallel`]: output is
-    /// bit-identical for every thread count.
-    pub fn privatize_batch(
-        &self,
-        inputs: &[ValidityInput],
-        base_seed: u64,
-        threads: usize,
-    ) -> Result<Vec<BitVec>> {
-        parallel::try_fill_shards(inputs, threads, |shard, chunk, slots| {
-            let mut rng = parallel::shard_rng(base_seed, shard);
-            for (&input, slot) in chunk.iter().zip(slots.iter_mut()) {
-                *slot = Some(self.privatize(input, &mut rng)?);
-            }
-            Ok(())
-        })
     }
 
     /// Exact probability of an output vector given an input (for privacy
@@ -226,56 +208,6 @@ impl VpAggregator {
         outcome
     }
 
-    /// [`VpAggregator::absorb_all`] sharded across up to `threads` workers;
-    /// per-shard counter sums merge associatively, so results are
-    /// bit-identical for every thread count.
-    pub fn absorb_batch(&mut self, reports: &[BitVec], threads: usize) -> Result<()> {
-        if threads.max(1) == 1 || reports.len() <= parallel::SHARD_SIZE {
-            return self.absorb_all(reports);
-        }
-        let template = self.fresh();
-        let shards = parallel::map_shards(reports, threads, |_, chunk| {
-            let mut local = template.clone();
-            local.absorb_all(chunk).map(|()| local)
-        });
-        for shard in shards {
-            self.merge(&shard?)?;
-        }
-        Ok(())
-    }
-
-    /// Absorbs every report pulled from `source` in bounded chunks —
-    /// [`VpAggregator::absorb_batch`] without the materialized slice.
-    /// Counts are bit-identical to the batch path for every chunk size and
-    /// thread count.
-    pub fn absorb_stream<S>(&mut self, source: &mut S, config: stream::StreamConfig) -> Result<()>
-    where
-        S: stream::ReportSource<Item = BitVec>,
-    {
-        let template = self.fresh();
-        let merged = stream::absorb_stream_with(
-            source,
-            config,
-            &template,
-            |agg: &mut VpAggregator, chunk| agg.absorb_all(chunk),
-            |a, b| a.merge(b),
-        )?;
-        self.merge(&merged)
-    }
-
-    /// An empty aggregator with this one's mechanism parameters (the
-    /// per-shard accumulator of [`VpAggregator::absorb_batch`]).
-    fn fresh(&self) -> Self {
-        VpAggregator {
-            d: self.d,
-            p: self.p,
-            q: self.q,
-            counts: vec![0; self.d as usize],
-            flag_count: 0,
-            n: 0,
-        }
-    }
-
     /// Merges another aggregator over the same mechanism (sharded
     /// aggregation across threads).
     pub fn merge(&mut self, other: &VpAggregator) -> Result<()> {
@@ -361,6 +293,9 @@ impl mcim_oracles::wire::WireState for VpAggregator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mcim_oracles::exec::{Exec, Executor as _, FnStage};
+    use mcim_oracles::parallel::{shard_rng, SHARD_SIZE};
+    use mcim_oracles::stream::SliceSource;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -464,20 +399,41 @@ mod tests {
             })
             .collect();
         let base = 42;
-        let reports = vp.privatize_batch(&inputs, base, 1).unwrap();
-        assert_eq!(
-            vp.privatize_batch(&inputs, base, 4).unwrap(),
-            reports,
-            "privatize_batch must be thread-count invariant"
-        );
+        // Reference: shard s privatized sequentially with shard_rng(base, s),
+        // absorbed one report at a time.
         let mut seq = VpAggregator::new(&vp);
-        for r in &reports {
-            seq.absorb(r).unwrap();
+        for (s, chunk) in inputs.chunks(SHARD_SIZE).enumerate() {
+            let mut rng = shard_rng(base, s as u64);
+            for &input in chunk {
+                seq.absorb(&vp.privatize(input, &mut rng).unwrap()).unwrap();
+            }
         }
-        for threads in [1, 2, 8] {
-            let mut batch = VpAggregator::new(&vp);
-            batch.absorb_batch(&reports, threads).unwrap();
-            assert_eq!(batch.raw_counts(), seq.raw_counts(), "threads={threads}");
+        // Stream items are input positions; each fragment privatizes its
+        // inputs and absorbs them as one block.
+        let positions: Vec<u32> = (0..inputs.len() as u32).collect();
+        let stage = FnStage::new(
+            VpAggregator::new(&vp),
+            |rng, _abs, chunk: &[u32], agg: &mut VpAggregator| {
+                let block = chunk
+                    .iter()
+                    .map(|&i| vp.privatize(inputs[i as usize], rng))
+                    .collect::<Result<Vec<_>>>()?;
+                agg.absorb_all(&block)
+            },
+            VpAggregator::merge,
+        );
+        for (threads, chunk) in [(1, 9000), (2, 9000), (8, 9000), (8, SHARD_SIZE - 1)] {
+            let batch = Exec::new()
+                .threads(threads)
+                .chunk_size(chunk)
+                .in_process()
+                .fold(&mut SliceSource::new(&positions), base, &stage)
+                .unwrap();
+            assert_eq!(
+                batch.raw_counts(),
+                seq.raw_counts(),
+                "threads={threads} chunk={chunk}"
+            );
             assert_eq!(batch.raw_flag_count(), seq.raw_flag_count());
             assert_eq!(batch.report_count(), seq.report_count());
             assert_eq!(batch.estimate(), seq.estimate());

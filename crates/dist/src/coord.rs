@@ -787,7 +787,6 @@ impl Executor for Coordinator {
         S: ReportSource<Item = St::Item>,
         St: Stage,
     {
-        self.plan.validate_contract()?;
         let Some(spec) = stage.spec() else {
             // No wire form — run the stage locally. The shard contract
             // makes this bit-identical, just not remote.

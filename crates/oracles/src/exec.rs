@@ -6,10 +6,9 @@
 //! signature. This module collapses that surface into three pieces:
 //!
 //! * [`Exec`] — a declarative **execution plan**: the RNG seed, the worker
-//!   budget, the ingestion chunk size and a
-//!   [mode](ExecMode) (auto / sequential / batch / stream). Every pipeline
-//!   takes one generic `execute`-style entry point that accepts an `Exec`
-//!   plus a [`ReportSource`], instead of a method per mode.
+//!   budget and the ingestion chunk size. Every pipeline takes one generic
+//!   `execute`-style entry point that accepts an `Exec` plus a
+//!   [`ReportSource`].
 //! * [`Stage`] — one bulk privatize+aggregate step expressed as an object
 //!   instead of ad-hoc closures: a fold function over shard fragments, a
 //!   merge of disjoint-range partials, and (for stages that can cross a
@@ -17,32 +16,21 @@
 //!   its items and accumulator.
 //! * [`Executor`] — the backend that actually drives a stage over a
 //!   source. The in-process implementation ([`InProcess`]) wraps the
-//!   existing [`fold_stream`] / [`crate::parallel`] machinery; the
-//!   `mcim-dist` crate's `Coordinator` implements the same trait by
-//!   shipping the stage spec and report chunks to socket-connected worker
-//!   processes and merging their serialized partials — without touching
-//!   any pipeline caller.
+//!   existing [`fold_stream`] machinery; the `mcim-dist` crate's
+//!   `Coordinator` implements the same trait by shipping the stage spec
+//!   and report chunks to socket-connected worker processes and merging
+//!   their serialized partials — without touching any pipeline caller.
 //!
-//! ## Mode semantics
-//!
-//! | mode | machinery | output |
-//! |---|---|---|
-//! | `Sequential` | sharded deterministic runtime pinned to 1 worker | bit-identical to every other mode |
-//! | `Batch` | sharded deterministic runtime, input materialized | bit-identical to every other mode |
-//! | `Stream` | sharded deterministic runtime, bounded chunks | bit-identical to every other mode |
-//! | `Auto` | resolves to `Stream` | bit-identical to every other mode |
-//!
-//! Under [RNG-contract v2](RngContract) **every mode is one code path**:
-//! the chunked executor over absolute [`parallel::SHARD_SIZE`] shards,
-//! each shard privatized with its deterministic
-//! [`parallel::shard_rng`]`(stage_seed, shard)` stream. Mode only chooses
-//! the resource envelope — `Sequential` pins one worker, `Batch` pulls the
-//! whole source into a single chunk, `Stream` holds
-//! `O(chunk + threads × shard)` — so seed-equal plans produce bit-identical
-//! results in all four modes (including the distributed backend, which
-//! replays the same shard streams on worker processes). The historical v1
-//! sequential stream (one caller `StdRng` over the whole input) is retired;
-//! plans declaring [`RngContract::V1`] are refused with a migration hint.
+//! `Stage` + [`Executor::fold`] is the only way a fold runs. Under
+//! [RNG-contract v2](RngContract) that fold is one code path: the chunked
+//! executor over absolute [`parallel::SHARD_SIZE`] shards, each shard
+//! privatized with its deterministic
+//! [`parallel::shard_rng`]`(stage_seed, shard)` stream. `threads` and
+//! `chunk_size` only choose the resource envelope — one worker or many,
+//! the whole input in one chunk or `O(chunk + threads × shard)` memory —
+//! so seed-equal plans produce bit-identical results for every
+//! `(threads, chunk)` pair, including on the distributed backend, which
+//! replays the same shard streams on worker processes.
 //!
 //! ```
 //! use mcim_oracles::exec::Exec;
@@ -63,71 +51,26 @@ use crate::stream::{fold_stream, ReportSource, StreamConfig, DEFAULT_CHUNK_ITEMS
 use crate::wire::{StageSpec, Wire, WireReader, WireState};
 use crate::Result;
 
-/// How an [`Exec`] plan drives a pipeline. See the [module docs](self) for
-/// the semantics table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// Pick automatically; resolves to [`ExecMode::Stream`] (bounded
-    /// memory, bit-identical to `Batch`).
-    #[default]
-    Auto,
-    /// The sharded runtime pinned to a single worker thread — smallest
-    /// footprint, bit-identical to every other mode under contract v2.
-    Sequential,
-    /// Sharded deterministic runtime over a fully materialized input.
-    Batch,
-    /// Sharded deterministic runtime over bounded chunks.
-    Stream,
-}
-
-impl ExecMode {
-    /// The concrete mode `Auto` resolves to.
-    pub fn resolved(self) -> ExecMode {
-        match self {
-            ExecMode::Auto => ExecMode::Stream,
-            other => other,
-        }
-    }
-
-    /// Lower-case name used in plan displays and CLI output.
-    pub fn name(self) -> &'static str {
-        match self {
-            ExecMode::Auto => "auto",
-            ExecMode::Sequential => "sequential",
-            ExecMode::Batch => "batch",
-            ExecMode::Stream => "stream",
-        }
-    }
-}
-
 /// The versioned contract naming *which* seeded RNG streams the pipelines
 /// draw their noise from.
 ///
 /// A contract version pins, for a given `(stage_seed, shard)` pair, the
 /// exact sequence of RNG draws every privatization path performs — it is
 /// the thing the workspace's bit-identity nets actually test. Bumping it
-/// is how seeded outputs are allowed to change: once, versioned, across
-/// every execution mode together.
+/// is how seeded outputs are allowed to change: once, versioned, for every
+/// `(threads, chunk)` plan and every backend together.
 ///
-/// * **v1** (retired): unary encoding drew its noise planes through the
-///   per-report geometric sampler on the sequential path but word-parallel
-///   in `privatize_batch`, so the sequential stream was a *different*
-///   stream from the sharded ones and pipelines were locked out of the
-///   fast sampler. No v1 compatibility path survives; v1 plans are
-///   refused with a migration hint.
-/// * **v2** (current): every unary-encoding path — sequential, batch,
-///   stream, distributed workers and their recovery replays — draws noise
-///   planes through the same word-parallel sampler
-///   ([`crate::BitVec::fill_bernoulli_wordwise`] above the density
-///   cross-over) from the same `(stage_seed, shard)` stream, so all four
-///   [`ExecMode`]s are bit-identical to each other.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// **v2** (current): every unary-encoding path — in-process folds,
+/// distributed workers and their recovery replays — draws noise planes
+/// through the same word-parallel sampler
+/// ([`crate::BitVec::fill_bernoulli_wordwise`] above the density
+/// cross-over) from the same `(stage_seed, shard)` stream. The retired v1
+/// streams have no code path left; a distributed Job frame carrying any
+/// other version is refused by the worker.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RngContract {
-    /// The retired v1 streams (split sequential/batch sampling).
-    V1,
     /// Word-parallel privatization end-to-end; the only supported
     /// contract.
-    #[default]
     V2,
 }
 
@@ -141,7 +84,6 @@ impl RngContract {
     /// Numeric version for wire frames and stage specs.
     pub fn version(self) -> u32 {
         match self {
-            RngContract::V1 => 1,
             RngContract::V2 => 2,
         }
     }
@@ -149,32 +91,7 @@ impl RngContract {
     /// Lower-case name used in plan displays and CLI flags.
     pub fn name(self) -> &'static str {
         match self {
-            RngContract::V1 => "v1",
             RngContract::V2 => "v2",
-        }
-    }
-
-    /// The contract a numeric wire version names, if any.
-    pub fn from_version(version: u32) -> Option<RngContract> {
-        match version {
-            1 => Some(RngContract::V1),
-            2 => Some(RngContract::V2),
-            _ => None,
-        }
-    }
-
-    /// `Ok` iff this build can execute the contract. The v1 streams were
-    /// deleted with the contract bump, so v1 plans are refused here rather
-    /// than silently producing v2 output under a v1 label.
-    pub fn validate(self) -> Result<()> {
-        match self {
-            RngContract::V2 => Ok(()),
-            RngContract::V1 => Err(crate::Error::InvalidParameter {
-                name: "rng-contract",
-                constraint: "contract v1 (split sequential/batch UE sampling) is retired; \
-                             re-derive pinned outputs under v2 — see the README section \
-                             \"RNG contract\"",
-            }),
         }
     }
 }
@@ -185,39 +102,24 @@ impl fmt::Display for RngContract {
     }
 }
 
-/// A declarative execution plan: seed, worker budget, chunk size and mode.
+/// A declarative execution plan: seed, worker budget and chunk size.
 ///
 /// Built with a fluent builder; unset knobs resolve lazily (`threads` to
 /// [`parallel::configured_threads`], `chunk_size` to
 /// [`DEFAULT_CHUNK_ITEMS`]) so a plan constructed once can be reused on
-/// machines with different core counts. Outputs of the sharded modes never
-/// depend on `threads` or `chunk_size` — both knobs are purely about
-/// latency and memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// machines with different core counts. Outputs never depend on `threads`
+/// or `chunk_size` — both knobs are purely about latency and memory.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Exec {
-    mode: ExecMode,
     seed: u64,
     threads: Option<usize>,
     chunk_items: Option<usize>,
-    contract: RngContract,
-}
-
-impl Default for Exec {
-    fn default() -> Self {
-        Exec::new()
-    }
 }
 
 impl Exec {
-    /// An [`ExecMode::Auto`] plan with seed 0 and lazily resolved knobs.
+    /// A plan with seed 0 and lazily resolved knobs.
     pub fn new() -> Self {
-        Exec {
-            mode: ExecMode::Auto,
-            seed: 0,
-            threads: None,
-            chunk_items: None,
-            contract: RngContract::CURRENT,
-        }
+        Exec::default()
     }
 
     /// [`Exec::new`] with a base seed — the most common construction.
@@ -225,76 +127,28 @@ impl Exec {
         Exec::new().seed(seed)
     }
 
-    /// A [`ExecMode::Sequential`] plan (historical caller-RNG semantics
-    /// under `StdRng::seed_from_u64(seed)`).
-    pub fn sequential() -> Self {
-        Exec::new().mode(ExecMode::Sequential)
-    }
-
-    /// A [`ExecMode::Batch`] plan (sharded runtime, materialized input).
-    pub fn batch() -> Self {
-        Exec::new().mode(ExecMode::Batch)
-    }
-
-    /// A [`ExecMode::Stream`] plan (sharded runtime, bounded chunks).
-    pub fn stream() -> Self {
-        Exec::new().mode(ExecMode::Stream)
-    }
-
-    /// Sets the execution mode.
-    pub fn mode(mut self, mode: ExecMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// Sets the base RNG seed (default 0). Sharded modes derive one
-    /// deterministic stream per absolute shard from it; sequential mode
-    /// seeds its single `StdRng` with it.
+    /// Sets the base RNG seed (default 0). Every stage derives one
+    /// deterministic stream per absolute shard from it
+    /// ([`parallel::shard_rng`]).
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
     }
 
-    /// Caps the worker threads of the sharded modes (default: the
-    /// `MCIM_THREADS` environment variable, then the machine's available
-    /// parallelism — [`parallel::configured_threads`]). Never changes
-    /// outputs.
+    /// Caps the worker threads (default: the `MCIM_THREADS` environment
+    /// variable, then the machine's available parallelism —
+    /// [`parallel::configured_threads`]). Never changes outputs.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads.max(1));
         self
     }
 
-    /// Sets the items pulled (and held) per ingestion chunk in
-    /// [`ExecMode::Stream`] and [`ExecMode::Sequential`] (default
-    /// [`DEFAULT_CHUNK_ITEMS`]). Ignored by `Batch` (whole input). Never
-    /// changes outputs.
+    /// Sets the items pulled (and held) per ingestion chunk (default
+    /// [`DEFAULT_CHUNK_ITEMS`]); a chunk of at least the input length
+    /// folds the whole input at once. Never changes outputs.
     pub fn chunk_size(mut self, chunk_items: usize) -> Self {
         self.chunk_items = Some(chunk_items.max(1));
         self
-    }
-
-    /// Declares the RNG contract this plan expects (default
-    /// [`RngContract::CURRENT`]). Executors refuse to fold under a
-    /// contract this build does not implement, so pinned v1 expectations
-    /// fail loudly instead of silently reproducing v2 streams.
-    pub fn rng_contract(mut self, contract: RngContract) -> Self {
-        self.contract = contract;
-        self
-    }
-
-    /// The declared mode.
-    pub fn declared_mode(&self) -> ExecMode {
-        self.mode
-    }
-
-    /// The concrete mode this plan runs in (`Auto` → `Stream`).
-    pub fn resolved_mode(&self) -> ExecMode {
-        self.mode.resolved()
-    }
-
-    /// Whether this plan runs the historical sequential path.
-    pub fn is_sequential(&self) -> bool {
-        self.resolved_mode() == ExecMode::Sequential
     }
 
     /// The base RNG seed.
@@ -302,12 +156,8 @@ impl Exec {
         self.seed
     }
 
-    /// The worker-thread cap this plan resolves to on this machine
-    /// (always 1 for sequential plans).
+    /// The worker-thread cap this plan resolves to on this machine.
     pub fn resolved_threads(&self) -> usize {
-        if self.is_sequential() {
-            return 1;
-        }
         self.threads.unwrap_or_else(parallel::configured_threads)
     }
 
@@ -316,18 +166,7 @@ impl Exec {
         self.chunk_items.unwrap_or(DEFAULT_CHUNK_ITEMS).max(1)
     }
 
-    /// The RNG contract this plan declares.
-    pub fn resolved_contract(&self) -> RngContract {
-        self.contract
-    }
-
-    /// `Ok` iff this build implements the plan's declared contract; the
-    /// per-fold gate every executor applies before drawing any noise.
-    pub fn validate_contract(&self) -> Result<()> {
-        self.contract.validate()
-    }
-
-    /// The equivalent [`StreamConfig`] of the sharded modes.
+    /// The equivalent [`StreamConfig`].
     pub fn stream_config(&self) -> StreamConfig {
         StreamConfig::new(self.resolved_threads()).with_chunk_items(self.resolved_chunk_items())
     }
@@ -340,29 +179,16 @@ impl Exec {
 
 impl fmt::Display for Exec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "mode={}",
-            match self.mode {
-                ExecMode::Auto => "stream(auto)".to_string(),
-                other => other.name().to_string(),
-            }
-        )?;
-        write!(f, " seed={}", self.seed)?;
+        write!(f, "seed={}", self.seed)?;
         match self.threads {
             Some(t) => write!(f, " threads={t}")?,
             None => write!(f, " threads={}(auto)", self.resolved_threads())?,
         }
-        if matches!(
-            self.resolved_mode(),
-            ExecMode::Stream | ExecMode::Sequential
-        ) {
-            match self.chunk_items {
-                Some(c) => write!(f, " chunk={c}")?,
-                None => write!(f, " chunk={}(default)", self.resolved_chunk_items())?,
-            }
+        match self.chunk_items {
+            Some(c) => write!(f, " chunk={c}")?,
+            None => write!(f, " chunk={}(default)", self.resolved_chunk_items())?,
         }
-        write!(f, " contract={}", self.contract)
+        write!(f, " contract={}", RngContract::CURRENT)
     }
 }
 
@@ -629,18 +455,6 @@ impl Executor for InProcess {
         S: ReportSource<Item = St::Item>,
         St: Stage,
     {
-        self.plan.validate_contract()?;
-        let mut config = self.plan.stream_config();
-        if self.plan.resolved_mode() == ExecMode::Batch {
-            // Batch mode materializes: one chunk spanning the whole
-            // (sized) source. Chunking never changes the result, only the
-            // memory.
-            config.chunk_items = source
-                .size_hint()
-                .and_then(|n| usize::try_from(n).ok())
-                .unwrap_or(DEFAULT_CHUNK_ITEMS)
-                .max(1);
-        }
         // Per-stage wall time, labeled by the stage's registry kind
         // (ad-hoc `FnStage` folds have no spec and share one label).
         let span = mcim_obs::span_with(|| {
@@ -649,7 +463,7 @@ impl Executor for InProcess {
         });
         let acc = fold_stream(
             source,
-            config,
+            self.plan.stream_config(),
             stage_seed,
             &stage.template(),
             |rng, abs, items, acc| stage.fold(rng, abs, items, acc),
@@ -670,15 +484,8 @@ mod tests {
     fn builder_and_resolution() {
         let plan = Exec::seeded(9).threads(3).chunk_size(100);
         assert_eq!(plan.base_seed(), 9);
-        assert_eq!(plan.declared_mode(), ExecMode::Auto);
-        assert_eq!(plan.resolved_mode(), ExecMode::Stream);
         assert_eq!(plan.resolved_threads(), 3);
         assert_eq!(plan.resolved_chunk_items(), 100);
-        assert!(!plan.is_sequential());
-
-        let seq = Exec::sequential().seed(1).threads(8);
-        assert!(seq.is_sequential());
-        assert_eq!(seq.resolved_threads(), 1, "sequential is single-threaded");
 
         // Zero clamps.
         let clamped = Exec::new().threads(0).chunk_size(0);
@@ -686,8 +493,6 @@ mod tests {
         assert_eq!(clamped.resolved_chunk_items(), 1);
 
         assert_eq!(Exec::default(), Exec::new());
-        assert_eq!(ExecMode::Auto.resolved(), ExecMode::Stream);
-        assert_eq!(ExecMode::Batch.resolved(), ExecMode::Batch);
     }
 
     /// Unset knobs resolve lazily: `threads` honors the `MCIM_THREADS`
@@ -716,15 +521,7 @@ mod tests {
     #[test]
     fn display_names_the_resolved_plan() {
         let shown = Exec::seeded(5).threads(2).chunk_size(64).to_string();
-        assert!(shown.contains("mode=stream(auto)"), "{shown}");
-        assert!(shown.contains("seed=5"), "{shown}");
-        assert!(shown.contains("threads=2"), "{shown}");
-        assert!(shown.contains("chunk=64"), "{shown}");
-        assert!(shown.contains("contract=v2"), "{shown}");
-        let batch = Exec::batch().to_string();
-        assert!(batch.contains("mode=batch"), "{batch}");
-        assert!(!batch.contains("chunk="), "batch hides the chunk: {batch}");
-        assert!(batch.contains("contract=v2"), "{batch}");
+        assert_eq!(shown, "seed=5 threads=2 chunk=64 contract=v2");
     }
 
     /// Unset knobs display their lazily resolved values tagged as such, so
@@ -740,15 +537,8 @@ mod tests {
             auto.contains(&format!("chunk={DEFAULT_CHUNK_ITEMS}(default)")),
             "{auto}"
         );
-        let seq = Exec::sequential().to_string();
-        assert!(seq.contains("mode=sequential"), "{seq}");
-        assert!(seq.contains("threads=1(auto)"), "sequential pins 1: {seq}");
-        assert!(
-            seq.contains("chunk="),
-            "sequential chunk-streams under v2: {seq}"
-        );
-        assert!(seq.contains("contract=v2"), "{seq}");
-        let explicit = Exec::stream().threads(7).to_string();
+        assert!(auto.contains("contract=v2"), "{auto}");
+        let explicit = Exec::new().threads(7).to_string();
         assert!(explicit.contains("threads=7"), "{explicit}");
         assert!(!explicit.contains("threads=7(auto)"), "{explicit}");
     }
@@ -757,38 +547,8 @@ mod tests {
     fn rng_contract_versions_round_trip() {
         assert_eq!(RngContract::CURRENT, RngContract::V2);
         assert_eq!(RngContract::CURRENT.version(), RngContract::CURRENT_VERSION);
-        for contract in [RngContract::V1, RngContract::V2] {
-            assert_eq!(
-                RngContract::from_version(contract.version()),
-                Some(contract)
-            );
-        }
-        assert_eq!(RngContract::from_version(0), None);
-        assert_eq!(RngContract::from_version(3), None);
-        assert_eq!(RngContract::V1.name(), "v1");
+        assert_eq!(RngContract::V2.name(), "v2");
         assert_eq!(RngContract::V2.to_string(), "v2");
-        assert_eq!(Exec::new().resolved_contract(), RngContract::V2);
-    }
-
-    #[test]
-    fn v1_plans_are_refused_with_a_migration_hint() {
-        let plan = Exec::seeded(3).rng_contract(RngContract::V1);
-        let err = plan.validate_contract().unwrap_err();
-        let crate::Error::InvalidParameter { name, constraint } = &err else {
-            panic!("expected InvalidParameter, got {err:?}");
-        };
-        assert_eq!(*name, "rng-contract");
-        assert!(constraint.contains("v2"), "{constraint}");
-        assert!(constraint.contains("RNG contract"), "{constraint}");
-
-        // The gate fires on the executor, before any noise is drawn.
-        let stage = sum_mix_stage();
-        let folded = plan
-            .in_process()
-            .fold(&mut SliceSource::new(&[1u32, 2, 3]), 7, &stage);
-        assert_eq!(folded.unwrap_err(), err);
-        // Current-contract plans pass.
-        Exec::seeded(3).validate_contract().unwrap();
     }
 
     #[allow(clippy::type_complexity)]
@@ -815,27 +575,25 @@ mod tests {
         )
     }
 
-    /// The shard contract: sequential, batch and stream plans fold
-    /// bit-identically, for every chunk size, and a sized batch fold
-    /// materializes whole.
+    /// The shard contract: every `(threads, chunk)` plan folds
+    /// bit-identically — one worker or four, the whole input in one chunk
+    /// or chunks that split shards.
     #[test]
     fn in_process_fold_is_mode_and_chunk_invariant() {
         let items: Vec<u32> = (0..3 * parallel::SHARD_SIZE as u32 + 500).collect();
+        let n = items.len();
         let stage = sum_mix_stage();
         let fold = |plan: Exec| {
             plan.in_process()
                 .fold(&mut SliceSource::new(&items), 77, &stage)
                 .unwrap()
         };
-        let reference = fold(Exec::batch().threads(1));
+        let reference = fold(Exec::new().threads(1).chunk_size(n));
         for plan in [
-            Exec::batch().threads(4),
-            Exec::sequential(),
-            Exec::sequential().chunk_size(parallel::SHARD_SIZE + 1),
-            Exec::stream().threads(1),
-            Exec::stream()
-                .threads(4)
-                .chunk_size(parallel::SHARD_SIZE - 1),
+            Exec::new().threads(4).chunk_size(n),
+            Exec::new().threads(1),
+            Exec::new().threads(1).chunk_size(parallel::SHARD_SIZE + 1),
+            Exec::new().threads(4).chunk_size(parallel::SHARD_SIZE - 1),
             Exec::new().threads(2).chunk_size(999),
         ] {
             assert_eq!(fold(plan), reference, "{plan}");
@@ -851,7 +609,7 @@ mod tests {
 
     #[test]
     fn in_process_reports_no_fold_accounting() {
-        assert_eq!(Exec::batch().in_process().last_fold_report(), None);
+        assert_eq!(Exec::new().in_process().last_fold_report(), None);
     }
 
     #[test]

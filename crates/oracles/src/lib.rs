@@ -84,7 +84,7 @@ pub use bitvec::BitVec;
 pub use budget::Eps;
 pub use colsum::ColumnCounter;
 pub use error::Error;
-pub use exec::{Exec, ExecMode, Executor, FoldReport, InProcess};
+pub use exec::{Exec, Executor, FoldReport, InProcess};
 pub use grr::Grr;
 pub use numeric::{Piecewise, StochasticRounding};
 pub use olh::{Olh, OlhReport};

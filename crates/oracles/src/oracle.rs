@@ -11,7 +11,7 @@ use rand::Rng;
 
 use crate::calibrate::unbiased_count;
 use crate::colsum::ColumnCounter;
-use crate::{parallel, stream, BitVec, Eps, Error, Grr, Olh, OlhReport, Result, UnaryEncoding};
+use crate::{BitVec, Eps, Error, Grr, Olh, OlhReport, Result, UnaryEncoding};
 
 /// A frequency oracle: one of the concrete LDP mechanisms.
 #[derive(Debug, Clone)]
@@ -115,38 +115,6 @@ impl Oracle {
             Oracle::Ue(m) => Ok(Report::Bits(m.privatize(v, rng)?)),
             Oracle::Olh(m) => Ok(Report::Hashed(m.privatize(v, rng)?)),
         }
-    }
-
-    /// Privatizes a batch of values on up to `threads` workers.
-    ///
-    /// Values are split into fixed [`parallel::SHARD_SIZE`] shards; shard
-    /// `s` is privatized sequentially with the deterministic RNG
-    /// [`parallel::shard_rng`]`(base_seed, s)`, and workers write into
-    /// preallocated disjoint output slices (no per-shard `Vec`, no result
-    /// flattening). The output is a pure function of
-    /// `(self, values, base_seed)` — any thread count produces
-    /// bit-identical reports.
-    ///
-    /// Every shard privatizes exactly as a per-report [`Oracle::privatize`]
-    /// loop would: under RNG-contract v2 the unary-encoding sampler draws
-    /// its noise planes word-parallel for dense `q` on *every* entry point
-    /// ([`UnaryEncoding::privatize`] and
-    /// [`crate::UnaryEncoding::privatize_into`] consume the RNG stream
-    /// identically), so the batch output needs no UE special case to match
-    /// the sequential stream bit-for-bit.
-    pub fn privatize_batch(
-        &self,
-        values: &[u32],
-        base_seed: u64,
-        threads: usize,
-    ) -> Result<Vec<Report>> {
-        parallel::try_fill_shards(values, threads, |shard, chunk, slots| {
-            let mut rng = parallel::shard_rng(base_seed, shard);
-            for (&v, slot) in chunk.iter().zip(slots.iter_mut()) {
-                *slot = Some(self.privatize(v, &mut rng)?);
-            }
-            Ok(())
-        })
     }
 
     /// Short name for logs and benchmark tables.
@@ -286,48 +254,6 @@ impl Aggregator {
         Ok(())
     }
 
-    /// [`Aggregator::absorb_all`] sharded across up to `threads` workers.
-    ///
-    /// Each shard aggregates into its own counter block; the per-shard
-    /// `u64` sums are then merged in shard order, so the final counts are
-    /// bit-identical for every thread count.
-    pub fn absorb_batch(&mut self, reports: &[Report], threads: usize) -> Result<()> {
-        if threads.max(1) == 1 || reports.len() <= parallel::SHARD_SIZE {
-            return self.absorb_all(reports);
-        }
-        let oracle = self.oracle.clone();
-        let shards = parallel::map_shards(reports, threads, |_, chunk| {
-            let mut local = Aggregator::new(&oracle);
-            local.absorb_all(chunk).map(|()| local)
-        });
-        for shard in shards {
-            self.merge(&shard?)?;
-        }
-        Ok(())
-    }
-
-    /// Absorbs every report pulled from `source` in bounded chunks —
-    /// [`Aggregator::absorb_batch`] without the materialized slice.
-    ///
-    /// Memory stays `O(chunk + threads × shard)` regardless of the stream
-    /// length, and the final counts are bit-identical to `absorb_batch`
-    /// over the same reports for every chunk size and thread count
-    /// (absorption is a counter sum — associative and commutative).
-    pub fn absorb_stream<S>(&mut self, source: &mut S, config: stream::StreamConfig) -> Result<()>
-    where
-        S: stream::ReportSource<Item = Report>,
-    {
-        let template = Aggregator::new(&self.oracle);
-        let merged = stream::absorb_stream_with(
-            source,
-            config,
-            &template,
-            |agg: &mut Aggregator, chunk| agg.absorb_all(chunk),
-            |a, b| a.merge(b),
-        )?;
-        self.merge(&merged)
-    }
-
     /// The oracle this aggregator matches.
     #[inline]
     pub fn oracle(&self) -> &Oracle {
@@ -390,6 +316,9 @@ impl crate::wire::WireState for Aggregator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::{Exec, Executor as _, FnStage};
+    use crate::parallel;
+    use crate::stream::SliceSource;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -458,6 +387,26 @@ mod tests {
         );
     }
 
+    /// Chunk sizes of the `(threads, chunk)` grid for an `n`-item input:
+    /// the whole input at once, and chunks that split shards.
+    fn chunks(n: usize) -> [usize; 3] {
+        [n, parallel::SHARD_SIZE - 1, parallel::SHARD_SIZE + 1]
+    }
+
+    /// Fingerprint of one report's exact content.
+    fn digest(report: &Report) -> u64 {
+        let words: Vec<u64> = match report {
+            Report::Value(v) => vec![0, u64::from(*v)],
+            Report::Bits(bits) => std::iter::once(1)
+                .chain(bits.words().iter().copied())
+                .collect(),
+            Report::Hashed(r) => vec![2, r.seed, u64::from(r.value)],
+        };
+        words.iter().fold(0, |h, &w| crate::hash::splitmix64(h ^ w))
+    }
+
+    /// The sharded privatize stage at every `(threads, chunk)` plan equals
+    /// the per-shard reference (test name kept from the retired bulk API).
     #[test]
     fn privatize_batch_is_thread_count_invariant_and_shard_equivalent() {
         for oracle in [
@@ -468,15 +417,6 @@ mod tests {
             let d = oracle.domain_size();
             let values: Vec<u32> = (0..9000).map(|u| u % d).collect();
             let base = 0xFEED;
-            let seq = oracle.privatize_batch(&values, base, 1).unwrap();
-            for threads in [2, 4] {
-                assert_eq!(
-                    oracle.privatize_batch(&values, base, threads).unwrap(),
-                    seq,
-                    "{} threads={threads}",
-                    oracle.name()
-                );
-            }
             // The documented contract: shard s is privatized sequentially
             // with parallel::shard_rng(base, s) through the plain
             // per-report privatize loop — for every mechanism, including
@@ -485,36 +425,71 @@ mod tests {
             for (s, chunk) in values.chunks(parallel::SHARD_SIZE).enumerate() {
                 let mut rng = parallel::shard_rng(base, s as u64);
                 for &v in chunk {
-                    reference.push(oracle.privatize(v, &mut rng).unwrap());
+                    reference.push(digest(&oracle.privatize(v, &mut rng).unwrap()));
                 }
             }
-            assert_eq!(seq, reference, "{}", oracle.name());
+            // A privatize stage records `(position, digest)` per report.
+            let stage = FnStage::new(
+                Vec::new(),
+                |rng, abs, chunk: &[u32], acc: &mut Vec<u64>| {
+                    for (i, &v) in chunk.iter().enumerate() {
+                        acc.extend([abs + i as u64, digest(&oracle.privatize(v, rng)?)]);
+                    }
+                    Ok(())
+                },
+                |a: &mut Vec<u64>, b: &Vec<u64>| {
+                    a.extend_from_slice(b);
+                    Ok(())
+                },
+            );
+            for threads in [1, 2, 4] {
+                for chunk in chunks(values.len()) {
+                    let plan = Exec::new().threads(threads).chunk_size(chunk);
+                    let folded = plan
+                        .in_process()
+                        .fold(&mut SliceSource::new(&values), base, &stage)
+                        .unwrap();
+                    let mut pairs: Vec<[u64; 2]> = folded.chunks(2).map(|p| [p[0], p[1]]).collect();
+                    pairs.sort_unstable();
+                    let got: Vec<u64> = pairs.iter().map(|p| p[1]).collect();
+                    assert_eq!(
+                        got,
+                        reference,
+                        "{} threads={threads} chunk={chunk}",
+                        oracle.name()
+                    );
+                }
+            }
         }
     }
 
     #[test]
-    fn privatize_batch_bulk_sampler_matches_oue_rates() {
+    fn wordwise_sampler_matches_oue_rates() {
         // The word-parallel noise plane must reproduce (p, q) exactly like
-        // the per-report path: check empirical bit rates on batch output.
+        // the per-report path: check empirical bit rates on sharded output.
         let oracle = Oracle::oue(eps(1.0), 128).unwrap();
-        let n = 20_000u32;
-        let values: Vec<u32> = (0..n).map(|_| 7).collect();
-        let reports = oracle.privatize_batch(&values, 99, 4).unwrap();
+        let n = 20_000usize;
         let mut hot = 0usize;
         let mut cold = 0usize;
-        for r in &reports {
-            let Report::Bits(bits) = r else {
-                panic!("OUE emits bit reports")
-            };
-            hot += usize::from(bits.get(7));
-            cold += bits.count_ones() - usize::from(bits.get(7));
+        for shard in 0..n.div_ceil(parallel::SHARD_SIZE) {
+            let mut rng = parallel::shard_rng(99, shard as u64);
+            let users = parallel::SHARD_SIZE.min(n - shard * parallel::SHARD_SIZE);
+            for _ in 0..users {
+                let Report::Bits(bits) = oracle.privatize(7, &mut rng).unwrap() else {
+                    panic!("OUE emits bit reports")
+                };
+                hot += usize::from(bits.get(7));
+                cold += bits.count_ones() - usize::from(bits.get(7));
+            }
         }
         let p_hat = hot as f64 / n as f64;
-        let q_hat = cold as f64 / (n as usize * 127) as f64;
+        let q_hat = cold as f64 / (n * 127) as f64;
         assert!((p_hat - oracle.p()).abs() < 0.02, "p_hat={p_hat}");
         assert!((q_hat - oracle.q()).abs() < 0.005, "q_hat={q_hat}");
     }
 
+    /// A staged `absorb_all` at every `(threads, chunk)` plan equals
+    /// per-report `absorb` (test name kept from the retired bulk API).
     #[test]
     fn absorb_batch_matches_sequential_absorb() {
         for oracle in [
@@ -523,18 +498,37 @@ mod tests {
             Oracle::olh(eps(2.0), 32).unwrap(),
         ] {
             let d = oracle.domain_size();
-            let values: Vec<u32> = (0..9000).map(|u| (u * 7) % d).collect();
-            let reports = oracle.privatize_batch(&values, 5, 1).unwrap();
+            let mut rng = StdRng::seed_from_u64(5);
+            let reports: Vec<Report> = (0..9000)
+                .map(|u| oracle.privatize((u * 7) % d, &mut rng).unwrap())
+                .collect();
             let mut seq = Aggregator::new(&oracle);
             for r in &reports {
                 seq.absorb(r).unwrap();
             }
+            // Stream items are report positions; each fragment absorbs the
+            // reports it covers as one block.
+            let positions: Vec<u32> = (0..reports.len() as u32).collect();
+            let stage = FnStage::new(
+                Aggregator::new(&oracle),
+                |_rng, abs, items: &[u32], agg: &mut Aggregator| {
+                    let start = abs as usize;
+                    agg.absorb_all(&reports[start..start + items.len()])
+                },
+                Aggregator::merge,
+            );
             for threads in [1, 2, 8] {
-                let mut batch = Aggregator::new(&oracle);
-                batch.absorb_batch(&reports, threads).unwrap();
-                assert_eq!(batch.raw_counts(), seq.raw_counts(), "threads={threads}");
-                assert_eq!(batch.report_count(), seq.report_count());
-                assert_eq!(batch.estimate(), seq.estimate(), "{}", oracle.name());
+                for chunk in chunks(reports.len()) {
+                    let plan = Exec::new().threads(threads).chunk_size(chunk);
+                    let folded = plan
+                        .in_process()
+                        .fold(&mut SliceSource::new(&positions), 0, &stage)
+                        .unwrap();
+                    let what = format!("{} threads={threads} chunk={chunk}", oracle.name());
+                    assert_eq!(folded.raw_counts(), seq.raw_counts(), "{what}");
+                    assert_eq!(folded.report_count(), seq.report_count(), "{what}");
+                    assert_eq!(folded.estimate(), seq.estimate(), "{what}");
+                }
             }
         }
     }

@@ -14,8 +14,10 @@
 //!   associative.
 //!
 //! Consequently `threads = N` produces bit-identical output to
-//! `threads = 1` for every batch API built on [`map_shards`] — the
-//! property the `MCIM_THREADS` CI matrix locks in.
+//! `threads = 1` for everything built on these shards — the stage folds of
+//! [`crate::exec`] and the per-item maps ([`map_shards`],
+//! [`try_fill_shards`]) of the multi-class top-k layer — the property the
+//! `MCIM_THREADS` CI matrix locks in.
 //!
 //! ## Scheduling
 //!
@@ -24,8 +26,9 @@
 //! module used an atomic work-stealing cursor with one `Mutex<Option<T>>`
 //! slot per shard; profiling the privatize path showed the per-shard
 //! output `Vec` allocations and slot locking serialized workers on the
-//! allocator and made the batch runtime *slower* than the sequential path
-//! (`oue_privatize_batch_tn_vs_seq: 0.92` in the PR-2 baseline). Shards
+//! allocator and made the sharded runtime *slower* than the one-thread
+//! path (a 0.92× sharded-over-sequential privatize ratio in the first
+//! baseline). Shards
 //! are uniform-cost, so static ranges lose nothing to stealing and need no
 //! synchronization beyond the scoped join.
 
@@ -61,9 +64,9 @@ pub fn configured_threads() -> usize {
 /// seeds and consecutive shard indices both land on decorrelated streams.
 ///
 /// This derivation is part of the workspace RNG contract
-/// ([`crate::exec::RngContract`]) and is identical under v1 and v2: the
-/// v2 bump changed *what* each shard's RNG is asked to sample (one shared
-/// plane sampler on every path), never *which* RNG a shard gets.
+/// ([`crate::exec::RngContract`]) and was identical under the retired v1:
+/// the v2 bump changed *what* each shard's RNG is asked to sample (one
+/// shared plane sampler on every path), never *which* RNG a shard gets.
 #[inline]
 pub fn shard_seed(base_seed: u64, shard: u64) -> u64 {
     splitmix64(base_seed.wrapping_add(splitmix64(shard ^ SHARD_SALT)))
@@ -109,8 +112,8 @@ where
     map_each(&shards, threads, |i, s| f(i as u64, s))
 }
 
-/// One-output-per-input sharded execution into a preallocated buffer: the
-/// shape of every batch privatization.
+/// One-output-per-input sharded execution into a preallocated buffer (the
+/// shape of the top-k layer's label routing).
 ///
 /// `f` receives `(shard_index, shard_items, shard_output)` where
 /// `shard_output` is the shard's disjoint slice of the preallocated output

@@ -1,34 +1,33 @@
 //! Bounded-memory streaming ingestion.
 //!
-//! The batch runtime ([`crate::parallel`]) requires fully materialized
-//! input slices: `absorb_batch` takes a `&[Report]`, which at paper scale
-//! (5–9M users × a kilobit per unary report) costs hundreds of megabytes
-//! before aggregation even starts. This module replaces the materialized
-//! slice with a **pull-based source** ([`ReportSource`]) and a chunked
-//! executor ([`fold_stream`]) that holds only
+//! A fully materialized input slice at paper scale (5–9M users × a
+//! kilobit per unary report) costs hundreds of megabytes before
+//! aggregation even starts. This module replaces the materialized slice
+//! with a **pull-based source** ([`ReportSource`]) and a chunked executor
+//! ([`fold_stream`], driven by [`crate::exec::InProcess`]) that holds only
 //!
 //! * one reusable input buffer of `chunk_items` items, and
 //! * one in-flight accumulator clone per worker,
 //!
 //! i.e. `O(chunk + threads × shard)` memory instead of `O(n)`.
 //!
-//! ## Bit-identical to the batch APIs
+//! ## Bit-identical for every chunk size
 //!
 //! The executor assigns every pulled item its **absolute stream index**,
-//! so shard boundaries land exactly where the batch runtime would put them
-//! regardless of the chunk size. Shard `s` is always processed with the
-//! deterministic RNG [`shard_rng`]`(base_seed, s)`; when a chunk boundary
-//! splits a shard, the partially-advanced RNG is carried to the next chunk
-//! and the shard's remaining items continue the same stream. Consequently
-//! `fold_stream` produces bit-identical results to the corresponding
-//! `*_batch` call for **every** chunk size and thread count, provided the
-//! fold function is prefix-composable (processing a shard in two fragments
+//! so shard boundaries land at multiples of [`SHARD_SIZE`] regardless of
+//! the chunk size. Shard `s` is always processed with the deterministic
+//! RNG [`shard_rng`]`(base_seed, s)`; when a chunk boundary splits a
+//! shard, the partially-advanced RNG is carried to the next chunk and the
+//! shard's remaining items continue the same stream. Consequently
+//! `fold_stream` produces bit-identical results to a single whole-input
+//! chunk for **every** chunk size and thread count, provided the fold
+//! function is prefix-composable (processing a shard in two fragments
 //! with a carried RNG equals processing it at once — true for every
 //! privatize+absorb loop in this workspace) and the merge is commutative
 //! and associative (true for counter sums and [`super::parallel`]-style
 //! accumulators).
 //!
-//! ## RNG-contract v2: one sampler stream for every mode
+//! ## RNG-contract v2: one sampler stream for every plan
 //!
 //! The workspace's seeded outputs are governed by a versioned **RNG
 //! contract** ([`crate::exec::RngContract`]); this section is the v2
@@ -49,18 +48,18 @@
 //!    branch depends only on mechanism parameters, never on the execution
 //!    mode, so `privatize`, `privatize_into` and `perturb_bits` consume
 //!    the RNG stream identically wherever they run.
-//! 3. **Consequence.** Sequential, batch, stream and distributed execution
-//!    are one code path differing only in resource envelope, and their
-//!    outputs are bit-identical per `(stage_seed, threads, chunk,
-//!    workers)` — the committed determinism / `Exec`-equivalence / chaos
-//!    nets pin exactly this.
+//! 3. **Consequence.** In-process and distributed execution are one code
+//!    path differing only in resource envelope, and their outputs are
+//!    identical for every `(threads, chunk, workers)` under one
+//!    `stage_seed` — the committed determinism / `Exec`-equivalence /
+//!    chaos nets pin exactly this.
 //!
-//! Under v1, the sequential path privatized through a per-report
-//! geometric sampler while `privatize_batch` went word-parallel: two
+//! Under v1, the single-threaded path privatized through a per-report
+//! geometric sampler while the sharded bulk path went word-parallel: two
 //! streams for the same seed, and the fast sampler locked out of every
 //! pipeline the equivalence nets pinned. The v2 bump changed all seeded
 //! estimates once (versioned, re-baselined) in exchange for the
-//! word-parallel sampler end-to-end; v1 plans are refused, not emulated.
+//! word-parallel sampler end-to-end; no v1 code path remains.
 
 use rand::rngs::StdRng;
 
@@ -142,8 +141,8 @@ impl<S: ReportSource + ?Sized> ReportSource for &mut S {
 }
 
 /// Drains `source` to exhaustion into a fresh `Vec` — the materialization
-/// step of sequential-mode execution and of pipelines that must revisit
-/// their input (multi-round top-k mining).
+/// step of pipelines that must revisit their input (multi-round top-k
+/// mining).
 pub fn drain_source<S: ReportSource>(source: &mut S) -> Result<Vec<S::Item>> {
     // size_hint is advisory; clamp the upfront allocation so a
     // misreporting source cannot reserve unbounded memory before the
@@ -294,7 +293,7 @@ impl StreamConfig {
 /// `f(rng, abs_index, items, acc)` processes one shard *fragment*: a run
 /// of consecutive items that all belong to the same absolute shard,
 /// starting at stream position `abs_index`. The RNG is positioned exactly
-/// where a batch run would have it: fresh [`shard_rng`]`(base_seed, s)` at
+/// where a whole-input run would have it: fresh [`shard_rng`]`(base_seed, s)` at
 /// a shard's first item, carried state mid-shard. Fragments of distinct
 /// shards run on up to `threads` workers, each folding into its own clone
 /// of `template`; partials are combined with `merge`.
@@ -421,33 +420,6 @@ where
     }
     obs_span.finish();
     Ok(acc)
-}
-
-/// [`fold_stream`] for pure server-side absorption (no RNG): drains a
-/// source of already privatized reports into per-worker accumulators. The
-/// backbone of every aggregator's `absorb_stream`.
-pub fn absorb_stream_with<S, A, F, M>(
-    source: &mut S,
-    config: StreamConfig,
-    template: &A,
-    absorb: F,
-    merge: M,
-) -> Result<A>
-where
-    S: ReportSource,
-    S::Item: Sync,
-    A: Clone + Send,
-    F: Fn(&mut A, &[S::Item]) -> Result<()> + Sync,
-    M: Fn(&mut A, &A) -> Result<()>,
-{
-    fold_stream(
-        source,
-        config,
-        0, // RNG stream unused by pure absorption
-        template,
-        |_rng, _abs, items, acc| absorb(acc, items),
-        merge,
-    )
 }
 
 /// The size a sized source must declare; errors otherwise. Used by

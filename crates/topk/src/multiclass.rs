@@ -235,7 +235,7 @@ pub struct TopKResult {
 /// Stage `i` takes the `i`-th seed of a [`SplitMix64`] stream over the
 /// plan seed and fans out over fixed-size shards with derived per-shard
 /// RNGs, so the mined result is bit-identical for every thread count,
-/// chunk size and worker count. Sequential plans are this same runtime
+/// chunk size and worker count. A one-thread plan is this same runtime
 /// pinned to one worker (RNG-contract v2; see `mcim_oracles::stream`).
 struct Pace<'r, E: Executor> {
     /// Per-stage seed stream.
@@ -310,16 +310,16 @@ impl<E: Executor> Pace<'_, E> {
 /// Runs `method` under an [`Exec`] plan and returns per-class top-k items
 /// — the single entry point of the multi-class layer.
 ///
-/// Every mode fans each bulk privatize+aggregate stage out over
+/// Every plan fans each bulk privatize+aggregate stage out over
 /// fixed-size shards with RNG streams derived from the plan seed
 /// (RNG-contract v2), so the mined result is a pure function of
 /// `(method, config, domains, pairs, seed)` — bit-identical across
-/// sequential, batch, stream and distributed execution for every thread
-/// count and chunk size (the `MCIM_THREADS` CI matrix locks this in).
+/// in-process and distributed execution for every thread count and chunk
+/// size (the `MCIM_THREADS` CI matrix locks this in).
 ///
 /// Multi-round mining routes users into per-class groups that later
 /// rounds revisit, so the 8-byte pairs themselves are drained into memory
-/// (≈ 40 MB at the paper's 5M users) in every mode — but every privatized
+/// (≈ 40 MB at the paper's 5M users) under every plan — but every privatized
 /// report still lives only inside the sharded runtime's
 /// `O(threads × shard)` buffers, never as an `O(n)` slice, and the
 /// pull-based ingestion means the pairs can come straight off disk or a
@@ -343,8 +343,8 @@ where
 /// processes).
 ///
 /// Stage `i` of the pipeline takes the `i`-th seed of a [`SplitMix64`]
-/// stream over the executor's plan seed, exactly like [`execute`] with a
-/// sharded plan — the mined result is bit-identical for every conforming
+/// stream over the executor's plan seed, exactly like [`execute`] — the
+/// mined result is bit-identical for every conforming
 /// executor, thread count, chunk size and worker count. The PEM rounds run
 /// on the executor; the label-routing and bucket-shuffling stages fan out
 /// on local threads (output-per-input maps have no mergeable partials to
@@ -360,9 +360,6 @@ where
     E: Executor,
     S: ReportSource<Item = LabelItem>,
 {
-    // PTJ/PTS-Shuffled never reach `Executor::fold`, so the contract gate
-    // must also sit here — every multi-class entry point refuses v1 plans.
-    executor.plan().validate_contract()?;
     if mcim_obs::enabled() {
         let name = method.name();
         mcim_obs::counter_add(
@@ -1123,7 +1120,7 @@ mod tests {
         let (domains, data) = skewed_dataset(120_000, 64);
         let config = TopKConfig::new(3, eps(8.0));
         for (i, method) in TopKMethod::fig7_set().into_iter().enumerate() {
-            let plan = Exec::sequential().seed(7 + i as u64);
+            let plan = Exec::seeded(7 + i as u64).threads(1);
             let result = execute(method, config, domains, &plan, SliceSource::new(&data)).unwrap();
             assert_eq!(result.per_class.len(), 3, "{}", method.name());
             for (c, items) in result.per_class.iter().enumerate() {
@@ -1157,7 +1154,7 @@ mod tests {
             },
             config,
             domains,
-            &Exec::sequential().seed(11),
+            &Exec::seeded(11).threads(1),
             SliceSource::new(&data),
         )
         .unwrap();
@@ -1184,7 +1181,7 @@ mod tests {
             TopKMethod::PtjShuffled { validity: true },
             config,
             domains,
-            &Exec::sequential().seed(13),
+            &Exec::seeded(13).threads(1),
             SliceSource::new(&data),
         )
         .unwrap();
@@ -1202,22 +1199,26 @@ mod tests {
         let (domains, data) = skewed_dataset(30_000, 64);
         let config = TopKConfig::new(3, eps(6.0));
         for method in TopKMethod::fig7_set() {
-            let batch = |threads: usize| {
+            let run = |threads: usize, chunk: usize| {
                 execute(
                     method,
                     config,
                     domains,
-                    &Exec::batch().seed(13).threads(threads),
+                    &Exec::seeded(13).threads(threads).chunk_size(chunk),
                     SliceSource::new(&data),
                 )
             };
-            let seq = batch(1).unwrap();
-            for threads in [2, 8] {
-                let par = batch(threads).unwrap();
+            let seq = run(1, data.len()).unwrap();
+            for (threads, chunk) in [
+                (2, data.len()),
+                (8, data.len()),
+                (8, parallel::SHARD_SIZE - 1),
+            ] {
+                let par = run(threads, chunk).unwrap();
                 assert_eq!(
                     par.per_class,
                     seq.per_class,
-                    "{} diverged at threads={threads}",
+                    "{} diverged at threads={threads} chunk={chunk}",
                     method.name()
                 );
                 assert_eq!(par.comm, seq.comm, "{}", method.name());
@@ -1246,7 +1247,7 @@ mod tests {
             },
             config,
             domains,
-            &Exec::batch().seed(23).threads(2),
+            &Exec::seeded(23).threads(2).chunk_size(data.len()),
             SliceSource::new(&data),
         )
         .unwrap();
@@ -1262,7 +1263,7 @@ mod tests {
     #[test]
     fn rejects_degenerate_inputs() {
         let domains = Domains::new(2, 16).unwrap();
-        let plan = Exec::sequential().seed(0);
+        let plan = Exec::seeded(0).threads(1);
         let data = vec![LabelItem::new(0, 0)];
         assert!(execute(
             TopKMethod::Hec,
@@ -1293,7 +1294,7 @@ mod tests {
         }
         let config = TopKConfig::new(5, eps(4.0));
         for (i, method) in TopKMethod::fig7_set().into_iter().enumerate() {
-            let plan = Exec::sequential().seed(21 + i as u64);
+            let plan = Exec::seeded(21 + i as u64).threads(1);
             let result = execute(method, config, domains, &plan, SliceSource::new(&data)).unwrap();
             assert_eq!(result.per_class.len(), 3, "{}", method.name());
         }
@@ -1322,7 +1323,7 @@ mod tests {
             },
             config,
             domains,
-            &Exec::sequential().seed(31),
+            &Exec::seeded(31).threads(1),
             SliceSource::new(&data),
         )
         .unwrap();
@@ -1330,7 +1331,7 @@ mod tests {
             TopKMethod::PtjShuffled { validity: true },
             config,
             domains,
-            &Exec::sequential().seed(32),
+            &Exec::seeded(32).threads(1),
             SliceSource::new(&data),
         )
         .unwrap();

@@ -23,7 +23,7 @@ use rand::Rng;
 use mcim_core::{CommStats, ValidityInput, ValidityPerturbation, VpAggregator};
 use mcim_oracles::exec::{Exec, Executor, Stage, StageDecode};
 use mcim_oracles::hash::SplitMix64;
-use mcim_oracles::stream::{drain_source, required_len, ReportSource, SliceSource, Take};
+use mcim_oracles::stream::{required_len, ReportSource, Take};
 use mcim_oracles::wire::{StageSpec, Wire, WireReader};
 use mcim_oracles::{Aggregator, Eps, Error, Oracle, Result};
 
@@ -452,10 +452,10 @@ impl PemEngine {
     /// label does not match the class being mined). Returns uplink
     /// statistics.
     ///
-    /// Under RNG-contract v2 every mode folds the round's serializable
+    /// Under RNG-contract v2 every plan folds the round's serializable
     /// stage through the plan's in-process executor
     /// ([`PemEngine::execute_round_on`]), so seed-equal plans are
-    /// bit-identical across modes, thread counts and chunk sizes.
+    /// bit-identical across thread counts and chunk sizes.
     ///
     /// The plan seed is **this round's** seed: a multi-round driver must
     /// pass a distinct seed per round — reusing one plan verbatim replays
@@ -646,31 +646,20 @@ impl Pem {
     }
 
     /// Mines the top-k under an [`Exec`] plan — the single entry point for
-    /// every execution mode. `None` items are invalid users.
+    /// every `(threads, chunk)` plan. `None` items are invalid users.
     ///
-    /// Every mode splits the source into one `⌈n/rounds⌉`-user group per
-    /// round (pulled straight off the source via [`Take`] — stream mode
-    /// never materializes a round group beyond one chunk) and runs round
-    /// `r` through [`PemEngine::execute_round_on`] with the `r`-th seed of
-    /// the [`SplitMix64`] stream over the plan seed; under RNG-contract v2
-    /// the modes are bit-identical to each other for every thread count
-    /// and chunk size. The round split needs the population size up
-    /// front, so sharded modes require a **sized** source; sequential
-    /// plans keep their historical unsized-source support by draining the
-    /// source first (they materialize anyway).
-    pub fn execute<S>(&self, eps: Eps, plan: &Exec, mut source: S) -> Result<PemOutcome>
+    /// The source is split into one `⌈n/rounds⌉`-user group per round
+    /// (pulled straight off the source via [`Take`] — no round group is
+    /// materialized beyond one chunk) and round `r` runs through
+    /// [`PemEngine::execute_round_on`] with the `r`-th seed of the
+    /// [`SplitMix64`] stream over the plan seed; under RNG-contract v2 the
+    /// result is bit-identical for every thread count and chunk size. The
+    /// round split needs the population size up front, so the source must
+    /// be **sized**.
+    pub fn execute<S>(&self, eps: Eps, plan: &Exec, source: S) -> Result<PemOutcome>
     where
         S: ReportSource<Item = Option<u32>>,
     {
-        if plan.is_sequential() && source.size_hint().is_none() {
-            let items = drain_source(&mut source)?;
-            return self.execute_on(
-                &plan.in_process(),
-                eps,
-                plan.base_seed(),
-                SliceSource::new(&items),
-            );
-        }
         self.execute_on(&plan.in_process(), eps, plan.base_seed(), source)
     }
 
@@ -680,7 +669,7 @@ impl Pem {
     ///
     /// Round `r` runs through [`PemEngine::execute_round_on`] with the
     /// `r`-th seed of the [`SplitMix64`] stream over `base_seed`, exactly
-    /// like [`Pem::execute`] with a sharded plan seeded `base_seed` —
+    /// like [`Pem::execute`] with a plan seeded `base_seed` —
     /// bit-identical for every conforming executor. `base_seed` is
     /// explicit because multi-stage callers (the multi-class top-k
     /// methods) derive one seed per mining stage.
@@ -716,6 +705,7 @@ impl Pem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mcim_oracles::stream::SliceSource;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -769,7 +759,7 @@ mod tests {
         let out = pem
             .execute(
                 eps(6.0),
-                &Exec::sequential().seed(42),
+                &Exec::seeded(42).threads(1),
                 SliceSource::new(&items),
             )
             .unwrap();
@@ -799,7 +789,7 @@ mod tests {
         let out = pem
             .execute(
                 eps(6.0),
-                &Exec::sequential().seed(43),
+                &Exec::seeded(43).threads(1),
                 SliceSource::new(&items),
             )
             .unwrap();
@@ -824,29 +814,22 @@ mod tests {
         }
         for config in [PemConfig::new(k), PemConfig::new(k).with_validity()] {
             let pem = Pem::new(d, config).unwrap();
-            let seq = pem
-                .execute(
-                    eps(6.0),
-                    &Exec::batch().seed(11).threads(1),
-                    SliceSource::new(&items),
-                )
-                .unwrap();
-            for threads in [2, 8] {
-                let par = pem
-                    .execute(
-                        eps(6.0),
-                        &Exec::batch().seed(11).threads(threads),
-                        SliceSource::new(&items),
-                    )
-                    .unwrap();
+            let run = |threads: usize, chunk: usize| {
+                let plan = Exec::seeded(11).threads(threads).chunk_size(chunk);
+                pem.execute(eps(6.0), &plan, SliceSource::new(&items))
+                    .unwrap()
+            };
+            let seq = run(1, items.len());
+            for (threads, chunk) in [(2, items.len()), (8, items.len()), (8, 999)] {
+                let par = run(threads, chunk);
                 assert_eq!(
                     par.top, seq.top,
-                    "validity={} threads={threads}",
+                    "validity={} threads={threads} chunk={chunk}",
                     config.validity
                 );
                 assert_eq!(par.comm, seq.comm);
             }
-            // The batched runtime still mines the heavy head.
+            // The sharded runtime still mines the heavy head.
             for expected in 0..2u32 {
                 assert!(
                     seq.top.contains(&expected),
@@ -868,7 +851,7 @@ mod tests {
             engine
                 .execute_round(
                     eps(2.0),
-                    &Exec::sequential().seed(round),
+                    &Exec::seeded(round).threads(1),
                     SliceSource::new(&inputs),
                 )
                 .unwrap();
@@ -935,7 +918,7 @@ mod tests {
         let out = pem
             .execute(
                 eps(8.0),
-                &Exec::sequential().seed(44),
+                &Exec::seeded(44).threads(1),
                 SliceSource::new(&items),
             )
             .unwrap();

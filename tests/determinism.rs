@@ -7,6 +7,7 @@
 //! reorders RNG draws shows up here before it silently changes every
 //! benchmark number.
 
+use multiclass_ldp::oracles::exec::FnStage;
 use multiclass_ldp::prelude::*;
 
 fn slice<'a>(data: &'a [LabelItem]) -> SliceSource<'a, LabelItem> {
@@ -32,7 +33,7 @@ fn pts_cp_tables_identical_for_identical_seeds() {
     let fw = Framework::PtsCp { label_frac: 0.5 };
 
     let run = |seed: u64| {
-        fw.execute(eps, domains, &Exec::sequential().seed(seed), slice(&data))
+        fw.execute(eps, domains, &Exec::seeded(seed).threads(1), slice(&data))
             .unwrap()
     };
     let a = run(12345);
@@ -71,7 +72,7 @@ fn topk_mining_identical_for_identical_seeds() {
             method,
             config,
             domains,
-            &Exec::sequential().seed(seed),
+            &Exec::seeded(seed).threads(1),
             slice(&data),
         )
         .unwrap()
@@ -83,15 +84,17 @@ fn topk_mining_identical_for_identical_seeds() {
     );
 }
 
-/// The batch runtime's headline guarantee: `threads = N` produces
-/// bit-identical estimates to `threads = 1` for every framework. The CI
-/// thread matrix runs this file under `MCIM_THREADS=1` and `MCIM_THREADS=4`,
-/// so `configured_threads()` exercises a genuinely different worker count
-/// against the sequential reference.
+/// The sharded runtime's headline guarantee: every `(threads, chunk)`
+/// plan produces bit-identical estimates to one thread over one
+/// whole-input chunk, for every framework. The CI thread matrix runs this
+/// file under `MCIM_THREADS=1` and `MCIM_THREADS=4`, so
+/// `configured_threads()` exercises a genuinely different worker count
+/// against the single-threaded reference.
 #[test]
 fn batch_plan_thread_matrix_is_bit_identical_for_every_framework() {
     let domains = Domains::new(3, 48).unwrap();
     let data = sample_data(domains, 25_000);
+    let n = data.len();
     let eps = Eps::new(2.0).unwrap();
     let threads = parallel::configured_threads();
     for fw in Framework::fig6_set() {
@@ -99,26 +102,28 @@ fn batch_plan_thread_matrix_is_bit_identical_for_every_framework() {
             .execute(
                 eps,
                 domains,
-                &Exec::batch().seed(2024).threads(1),
+                &Exec::seeded(2024).threads(1).chunk_size(n),
                 slice(&data),
             )
             .unwrap();
         for t in [2, threads] {
-            let par = fw
-                .execute(
-                    eps,
-                    domains,
-                    &Exec::batch().seed(2024).threads(t),
-                    slice(&data),
-                )
-                .unwrap();
-            for label in 0..domains.classes() {
-                for item in 0..domains.items() {
-                    assert!(
-                        par.table.get(label, item) == seq.table.get(label, item),
-                        "{} threads={t} diverged at ({label},{item})",
-                        fw.name()
-                    );
+            for chunk in [n, parallel::SHARD_SIZE - 1] {
+                let par = fw
+                    .execute(
+                        eps,
+                        domains,
+                        &Exec::seeded(2024).threads(t).chunk_size(chunk),
+                        slice(&data),
+                    )
+                    .unwrap();
+                for label in 0..domains.classes() {
+                    for item in 0..domains.items() {
+                        assert!(
+                            par.table.get(label, item) == seq.table.get(label, item),
+                            "{} threads={t} chunk={chunk} diverged at ({label},{item})",
+                            fw.name()
+                        );
+                    }
                 }
             }
         }
@@ -126,9 +131,10 @@ fn batch_plan_thread_matrix_is_bit_identical_for_every_framework() {
 }
 
 /// Same guarantee for the standalone validity-perturbation pipeline (the
-/// "VP" row of the acceptance matrix): batched privatization equals N
-/// sequential per-shard privatize calls, and sharded aggregation equals
-/// sequential absorption bit-for-bit.
+/// "VP" row of the acceptance matrix): a privatize+absorb stage folded
+/// through the executor equals sequential per-shard privatize calls
+/// absorbed one report at a time, bit-for-bit, for every thread count and
+/// chunk size.
 #[test]
 fn vp_batch_thread_matrix_is_bit_identical() {
     let vp = ValidityPerturbation::new(Eps::new(1.5).unwrap(), 96).unwrap();
@@ -141,38 +147,58 @@ fn vp_batch_thread_matrix_is_bit_identical() {
             }
         })
         .collect();
-    let reports = vp.privatize_batch(&inputs, 9, 1).unwrap();
 
-    // Batched privatization == sequential privatize calls, shard by shard.
-    let mut reference = Vec::new();
+    // Reference: sequential privatize calls shard by shard, absorbed one
+    // report at a time.
+    let mut seq = VpAggregator::new(&vp);
     for (s, chunk) in inputs.chunks(parallel::SHARD_SIZE).enumerate() {
         let mut rng = parallel::shard_rng(9, s as u64);
         for &input in chunk {
-            reference.push(vp.privatize(input, &mut rng).unwrap());
+            seq.absorb(&vp.privatize(input, &mut rng).unwrap()).unwrap();
         }
     }
-    assert_eq!(reports, reference);
 
-    let mut seq = VpAggregator::new(&vp);
-    for r in &reports {
-        seq.absorb(r).unwrap();
-    }
+    // Stream items are input positions; each fragment privatizes its
+    // inputs with the shard's RNG and absorbs them as one block.
+    let positions: Vec<u32> = (0..inputs.len() as u32).collect();
+    let stage = FnStage::new(
+        VpAggregator::new(&vp),
+        |rng, _abs, items: &[u32], agg: &mut VpAggregator| {
+            let block = items
+                .iter()
+                .map(|&i| vp.privatize(inputs[i as usize], rng))
+                .collect::<Result<Vec<_>>>()?;
+            agg.absorb_all(&block)
+        },
+        VpAggregator::merge,
+    );
     for t in [1, 2, parallel::configured_threads()] {
-        assert_eq!(vp.privatize_batch(&inputs, 9, t).unwrap(), reports);
-        let mut par = VpAggregator::new(&vp);
-        par.absorb_batch(&reports, t).unwrap();
-        assert_eq!(par.raw_counts(), seq.raw_counts(), "threads={t}");
-        assert_eq!(par.raw_flag_count(), seq.raw_flag_count());
-        assert_eq!(par.estimate(), seq.estimate());
+        for chunk in [inputs.len(), parallel::SHARD_SIZE - 1] {
+            let par = Exec::new()
+                .threads(t)
+                .chunk_size(chunk)
+                .in_process()
+                .fold(&mut SliceSource::new(&positions), 9, &stage)
+                .unwrap();
+            assert_eq!(
+                par.raw_counts(),
+                seq.raw_counts(),
+                "threads={t} chunk={chunk}"
+            );
+            assert_eq!(par.raw_flag_count(), seq.raw_flag_count());
+            assert_eq!(par.report_count(), seq.report_count());
+            assert_eq!(par.estimate(), seq.estimate());
+        }
     }
 }
 
-/// Top-k mining on the batch runtime is a pure function of the base seed —
-/// the thread count never changes the mined sets.
+/// Top-k mining is a pure function of the base seed — neither the thread
+/// count nor the chunk size changes the mined sets.
 #[test]
 fn topk_batch_plan_thread_matrix_is_bit_identical() {
     let domains = Domains::new(2, 64).unwrap();
     let data = sample_data(domains, 24_000);
+    let n = data.len();
     let config = TopKConfig::new(4, Eps::new(4.0).unwrap());
     let threads = parallel::configured_threads();
     for method in [
@@ -188,26 +214,28 @@ fn topk_batch_plan_thread_matrix_is_bit_identical() {
             method,
             config,
             domains,
-            &Exec::batch().seed(77).threads(1),
+            &Exec::seeded(77).threads(1).chunk_size(n),
             slice(&data),
         )
         .unwrap();
         for t in [2, threads] {
-            let par = execute(
-                method,
-                config,
-                domains,
-                &Exec::batch().seed(77).threads(t),
-                slice(&data),
-            )
-            .unwrap();
-            assert_eq!(
-                par.per_class,
-                seq.per_class,
-                "{} threads={t}",
-                method.name()
-            );
-            assert_eq!(par.comm, seq.comm, "{}", method.name());
+            for chunk in [n, parallel::SHARD_SIZE - 1] {
+                let par = execute(
+                    method,
+                    config,
+                    domains,
+                    &Exec::seeded(77).threads(t).chunk_size(chunk),
+                    slice(&data),
+                )
+                .unwrap();
+                assert_eq!(
+                    par.per_class,
+                    seq.per_class,
+                    "{} threads={t} chunk={chunk}",
+                    method.name()
+                );
+                assert_eq!(par.comm, seq.comm, "{}", method.name());
+            }
         }
     }
 }

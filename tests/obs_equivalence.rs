@@ -2,7 +2,8 @@
 //! invisible to every estimate, and the snapshots themselves must be
 //! deterministic.
 //!
-//! Two claims are pinned here, across all four `Exec` modes:
+//! Two claims are pinned here, across a `(threads, chunk)` grid of `Exec`
+//! plans:
 //!
 //! 1. **Bit-identity on/off.** A pipeline run with the global registry
 //!    recording is bit-identical to the same run with recording off —
@@ -39,15 +40,20 @@ fn sample_pairs(domains: Domains, n: usize) -> Vec<LabelItem> {
         .collect()
 }
 
-/// The four execution modes, each as a fully pinned plan.
-fn all_mode_plans(seed: u64) -> [(&'static str, Exec); 4] {
+/// A `(threads, chunk)` grid of fully pinned plans for an `n`-item
+/// input: shard-splitting chunks at four threads, one thread at the
+/// default chunk, and the whole input in one chunk.
+fn grid_plans(seed: u64, n: usize) -> [(&'static str, Exec); 4] {
     [
-        ("auto", Exec::seeded(seed).threads(4).chunk_size(SHARD + 1)),
-        ("sequential", Exec::sequential().seed(seed)),
-        ("batch", Exec::batch().seed(seed).threads(4)),
         (
-            "stream",
-            Exec::stream().seed(seed).threads(4).chunk_size(SHARD - 1),
+            "t4/shard+1",
+            Exec::seeded(seed).threads(4).chunk_size(SHARD + 1),
+        ),
+        ("t1/default", Exec::seeded(seed).threads(1)),
+        ("t4/whole", Exec::seeded(seed).threads(4).chunk_size(n)),
+        (
+            "t4/shard-1",
+            Exec::seeded(seed).threads(4).chunk_size(SHARD - 1),
         ),
     ]
 }
@@ -87,7 +93,7 @@ fn metrics_on_and_off_are_bit_identical_in_every_mode() {
     let _guard = OBS_STATE.lock().unwrap_or_else(|p| p.into_inner());
     let domains = Domains::new(3, 32).unwrap();
     let data = sample_pairs(domains, SHARD + 700);
-    for (mode, plan) in all_mode_plans(0x0B5_2025) {
+    for (mode, plan) in grid_plans(0x0B5_2025, data.len()) {
         let (off, off_snap) = run(&plan, &data, domains, false);
         let (on, on_snap) = run(&plan, &data, domains, true);
         assert_eq!(off, on, "{mode}: recording metrics changed the estimates");
@@ -104,7 +110,7 @@ fn identical_runs_snapshot_identically_modulo_timing() {
     let _guard = OBS_STATE.lock().unwrap_or_else(|p| p.into_inner());
     let domains = Domains::new(3, 32).unwrap();
     let data = sample_pairs(domains, SHARD + 700);
-    for (mode, plan) in all_mode_plans(0x0B5_2026) {
+    for (mode, plan) in grid_plans(0x0B5_2026, data.len()) {
         // Real clock vs a manual clock at rest: every timing field
         // differs, everything work-derived must not.
         obs::set_clock(&MONOTONIC);
@@ -141,7 +147,7 @@ fn pem_round_counters_are_work_derived_and_mode_invariant() {
     let pem = Pem::new(128, PemConfig::new(4)).unwrap();
     obs::set_clock(&MANUAL);
     let mut per_mode = Vec::new();
-    for (mode, plan) in all_mode_plans(0x0B5_2027) {
+    for (mode, plan) in grid_plans(0x0B5_2027, items.len()) {
         obs::reset();
         obs::set_enabled(true);
         let result = pem

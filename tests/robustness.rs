@@ -12,6 +12,20 @@ use multiclass_ldp::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// A `(threads, chunk)` grid for an `n`-user input: one thread at the
+/// default chunk, four threads over the whole input in one chunk, and four
+/// threads over chunks that split a shard. Every plan of one seed folds
+/// bit-identically, so each edge case must hold on all of them.
+fn grid(seed: u64, n: usize) -> [Exec; 3] {
+    [
+        Exec::seeded(seed).threads(1),
+        Exec::seeded(seed).threads(4).chunk_size(n),
+        Exec::seeded(seed)
+            .threads(4)
+            .chunk_size(parallel::SHARD_SIZE - 1),
+    ]
+}
+
 // ---------------------------------------------------------------- reports
 
 #[test]
@@ -69,21 +83,22 @@ fn degenerate_domains_work_end_to_end() {
     let domains = Domains::new(1, 1).unwrap();
     let data = vec![LabelItem::new(0, 0); 1_000];
     for (i, fw) in Framework::fig6_set().into_iter().enumerate() {
-        let plan = Exec::sequential().seed(2 + i as u64);
-        let result = fw
-            .execute(
-                Eps::new(1.0).unwrap(),
-                domains,
-                &plan,
-                SliceSource::new(&data),
-            )
-            .unwrap();
-        let est = result.table.get(0, 0);
-        assert!(
-            (est - 1_000.0).abs() < 500.0,
-            "{}: degenerate estimate {est}",
-            fw.name()
-        );
+        for plan in grid(2 + i as u64, data.len()) {
+            let result = fw
+                .execute(
+                    Eps::new(1.0).unwrap(),
+                    domains,
+                    &plan,
+                    SliceSource::new(&data),
+                )
+                .unwrap();
+            let est = result.table.get(0, 0);
+            assert!(
+                (est - 1_000.0).abs() < 500.0,
+                "{} [{plan}]: degenerate estimate {est}",
+                fw.name()
+            );
+        }
     }
 }
 
@@ -92,14 +107,19 @@ fn single_user_dataset_does_not_panic() {
     let domains = Domains::new(2, 16).unwrap();
     let data = vec![LabelItem::new(1, 7)];
     // HEC requires a user per class group and must error cleanly.
-    assert!(Framework::Hec
-        .execute(
-            Eps::new(1.0).unwrap(),
-            domains,
-            &Exec::sequential().seed(3),
-            SliceSource::new(&data),
-        )
-        .is_err());
+    for plan in grid(3, data.len()) {
+        assert!(
+            Framework::Hec
+                .execute(
+                    Eps::new(1.0).unwrap(),
+                    domains,
+                    &plan,
+                    SliceSource::new(&data),
+                )
+                .is_err(),
+            "{plan}"
+        );
+    }
     // The others must produce finite estimates.
     for (i, fw) in [
         Framework::Ptj,
@@ -109,19 +129,21 @@ fn single_user_dataset_does_not_panic() {
     .into_iter()
     .enumerate()
     {
-        let result = fw
-            .execute(
-                Eps::new(1.0).unwrap(),
-                domains,
-                &Exec::sequential().seed(4 + i as u64),
-                SliceSource::new(&data),
-            )
-            .unwrap();
-        assert!(
-            result.table.values().iter().all(|v| v.is_finite()),
-            "{}",
-            fw.name()
-        );
+        for plan in grid(4 + i as u64, data.len()) {
+            let result = fw
+                .execute(
+                    Eps::new(1.0).unwrap(),
+                    domains,
+                    &plan,
+                    SliceSource::new(&data),
+                )
+                .unwrap();
+            assert!(
+                result.table.values().iter().all(|v| v.is_finite()),
+                "{} [{plan}]",
+                fw.name()
+            );
+        }
     }
 }
 
@@ -135,17 +157,18 @@ fn k_larger_than_domain_is_served_gracefully() {
         .collect();
     let config = TopKConfig::new(20, Eps::new(4.0).unwrap()); // k = 20 > d = 8
     for (i, method) in TopKMethod::fig7_set().into_iter().enumerate() {
-        let plan = Exec::sequential().seed(40 + i as u64);
-        let result = execute(method, config, domains, &plan, SliceSource::new(&data)).unwrap();
-        for (c, items) in result.per_class.iter().enumerate() {
-            assert!(
-                items.len() <= 8,
-                "{} class {c}: {}",
-                method.name(),
-                items.len()
-            );
-            let unique: std::collections::HashSet<_> = items.iter().collect();
-            assert_eq!(unique.len(), items.len(), "{}", method.name());
+        for plan in grid(40 + i as u64, data.len()) {
+            let result = execute(method, config, domains, &plan, SliceSource::new(&data)).unwrap();
+            for (c, items) in result.per_class.iter().enumerate() {
+                assert!(
+                    items.len() <= 8,
+                    "{} [{plan}] class {c}: {}",
+                    method.name(),
+                    items.len()
+                );
+                let unique: std::collections::HashSet<_> = items.iter().collect();
+                assert_eq!(unique.len(), items.len(), "{} [{plan}]", method.name());
+            }
         }
     }
 }
@@ -157,27 +180,29 @@ fn all_users_in_one_class_leaves_other_classes_quiet() {
         .map(|u| LabelItem::new(0, (u % 5) as u32))
         .collect();
     let config = TopKConfig::new(3, Eps::new(6.0).unwrap());
-    let result = execute(
-        TopKMethod::PtsShuffled {
-            validity: true,
-            global: true,
-            correlated: true,
-        },
-        config,
-        domains,
-        &Exec::sequential().seed(5),
-        SliceSource::new(&data),
-    )
-    .unwrap();
-    // The populated class finds its heavy items.
-    assert!(
-        result.per_class[0].iter().any(|&i| i < 5),
-        "class 0 should find a true item: {:?}",
-        result.per_class[0]
-    );
-    // Empty classes return at most k arbitrary candidates, never panic.
-    for c in 1..4 {
-        assert!(result.per_class[c].len() <= 3);
+    for plan in grid(5, data.len()) {
+        let result = execute(
+            TopKMethod::PtsShuffled {
+                validity: true,
+                global: true,
+                correlated: true,
+            },
+            config,
+            domains,
+            &plan,
+            SliceSource::new(&data),
+        )
+        .unwrap();
+        // The populated class finds its heavy items.
+        assert!(
+            result.per_class[0].iter().any(|&i| i < 5),
+            "[{plan}] class 0 should find a true item: {:?}",
+            result.per_class[0]
+        );
+        // Empty classes return at most k arbitrary candidates, never panic.
+        for c in 1..4 {
+            assert!(result.per_class[c].len() <= 3, "[{plan}]");
+        }
     }
 }
 
@@ -187,32 +212,37 @@ fn extreme_budgets_behave() {
     let data: Vec<LabelItem> = (0..10_000)
         .map(|u| LabelItem::new((u % 2) as u32, (u % 4) as u32))
         .collect();
-    // Tiny ε: results are noise but finite and well-formed.
-    let tiny = Framework::PtsCp { label_frac: 0.5 }
-        .execute(
-            Eps::new(0.01).unwrap(),
-            domains,
-            &Exec::sequential().seed(6),
-            SliceSource::new(&data),
-        )
-        .unwrap();
-    assert!(tiny.table.values().iter().all(|v| v.is_finite()));
-    // Huge ε: estimates are near-exact.
-    let huge = Framework::PtsCp { label_frac: 0.5 }
-        .execute(
-            Eps::new(20.0).unwrap(),
-            domains,
-            &Exec::sequential().seed(7),
-            SliceSource::new(&data),
-        )
-        .unwrap();
     let truth = FrequencyTable::ground_truth(domains, &data).unwrap();
-    for label in 0..2 {
-        for item in 0..4 {
-            assert!(
-                (huge.table.get(label, item) - truth.get(label, item)).abs() < 200.0,
-                "({label},{item})"
-            );
+    for (tiny_plan, huge_plan) in grid(6, data.len()).into_iter().zip(grid(7, data.len())) {
+        // Tiny ε: results are noise but finite and well-formed.
+        let tiny = Framework::PtsCp { label_frac: 0.5 }
+            .execute(
+                Eps::new(0.01).unwrap(),
+                domains,
+                &tiny_plan,
+                SliceSource::new(&data),
+            )
+            .unwrap();
+        assert!(
+            tiny.table.values().iter().all(|v| v.is_finite()),
+            "[{tiny_plan}]"
+        );
+        // Huge ε: estimates are near-exact.
+        let huge = Framework::PtsCp { label_frac: 0.5 }
+            .execute(
+                Eps::new(20.0).unwrap(),
+                domains,
+                &huge_plan,
+                SliceSource::new(&data),
+            )
+            .unwrap();
+        for label in 0..2 {
+            for item in 0..4 {
+                assert!(
+                    (huge.table.get(label, item) - truth.get(label, item)).abs() < 200.0,
+                    "[{huge_plan}] ({label},{item})"
+                );
+            }
         }
     }
 }
