@@ -133,26 +133,29 @@ impl Args {
     /// plan keeps the default chunk. `--threads` wins over the
     /// `MCIM_THREADS` environment variable, which wins over the machine's
     /// parallelism. Results never depend on either knob. `--rng-contract`
-    /// only accepts the current contract (`v2`) — `v1` is retired and
-    /// errors with a migration hint rather than silently re-deriving
-    /// different bits. Print the resolved plan with `--verbose`.
+    /// only accepts the current contract (`v3`) — `v1` and `v2` are
+    /// retired and error with a migration hint rather than silently
+    /// re-deriving different bits. Print the resolved plan with
+    /// `--verbose`.
     pub fn exec_plan(&self) -> Result<Exec, ArgError> {
         use mcim_oracles::exec::RngContract;
         if let Some(contract) = self.optional("rng-contract") {
             match contract {
-                "v2" => {}
-                "v1" => {
+                "v3" => {}
+                retired @ ("v1" | "v2") => {
                     return Err(ArgError(format!(
-                        "`--rng-contract v1` is retired: the split sequential/batch sampling \
-                         streams were replaced by the word-parallel contract v{}, and v1 \
-                         outputs cannot be reproduced — re-derive pinned outputs under v2 \
+                        "`--rng-contract {retired}` is retired: its sampling streams were \
+                         replaced by the fixed-depth word-parallel contract {}, and {retired} \
+                         outputs cannot be reproduced — re-derive pinned outputs under {} \
                          (see the README section \"RNG contract\")",
-                        RngContract::CURRENT_VERSION
+                        RngContract::CURRENT,
+                        RngContract::CURRENT,
                     )))
                 }
                 other => {
                     return Err(ArgError(format!(
-                        "option `--rng-contract` must be `v2` (got `{other}`)"
+                        "option `--rng-contract` must be `{}` (got `{other}`)",
+                        RngContract::CURRENT
                     )))
                 }
             }
@@ -258,24 +261,27 @@ mod tests {
     }
 
     #[test]
-    fn rng_contract_accepts_only_v2() {
-        let current = parse(&["freq", "--rng-contract", "v2", "--seed", "4"])
+    fn rng_contract_accepts_only_v3() {
+        let current = parse(&["freq", "--rng-contract", "v3", "--seed", "4"])
             .unwrap()
             .exec_plan()
             .unwrap();
         assert_eq!(current.base_seed(), 4);
 
-        let retired = parse(&["freq", "--rng-contract", "v1"])
-            .unwrap()
-            .exec_plan()
-            .unwrap_err();
-        assert!(retired.0.contains("retired"), "{retired}");
-        assert!(retired.0.contains("README"), "{retired}");
+        for old in ["v1", "v2"] {
+            let retired = parse(&["freq", "--rng-contract", old])
+                .unwrap()
+                .exec_plan()
+                .unwrap_err();
+            assert!(retired.0.contains("retired"), "{retired}");
+            assert!(retired.0.contains("under v3"), "{retired}");
+            assert!(retired.0.contains("README"), "{retired}");
+        }
 
-        let unknown = parse(&["freq", "--rng-contract", "v3"])
+        let unknown = parse(&["freq", "--rng-contract", "v4"])
             .unwrap()
             .exec_plan()
             .unwrap_err();
-        assert!(unknown.0.contains("must be `v2`"), "{unknown}");
+        assert!(unknown.0.contains("must be `v3`"), "{unknown}");
     }
 }

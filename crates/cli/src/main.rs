@@ -64,10 +64,10 @@ COMMON OPTIONS:
                   survived either way: lost shards replay on surviving
                   workers, or in-process when none remain — results stay
                   bit-identical, only `--verbose` shows the difference
-  --rng-contract <v2> assert the RNG contract the run is pinned against.
-                  Only the current word-parallel contract `v2` is
-                  accepted; `v1` is retired and errors with a migration
-                  hint (see the README section \"RNG contract\")
+  --rng-contract <v3> assert the RNG contract the run is pinned against.
+                  Only the current word-parallel contract `v3` is
+                  accepted; `v1` and `v2` are retired and error with a
+                  migration hint (see the README section \"RNG contract\")
   --metrics-out <file> write the run's telemetry snapshot after the
                   results: Prometheus text exposition, or the JSON
                   envelope when the path ends in `.json`. Metrics never

@@ -98,17 +98,32 @@ impl CorrelatedPerturbation {
 
     /// Privatizes one label-item pair.
     pub fn privatize<R: Rng + ?Sized>(&self, pair: LabelItem, rng: &mut R) -> Result<CpReport> {
+        let mut out = CpReport {
+            label: 0,
+            bits: BitVec::zeros(self.item_mech.report_bits()),
+        };
+        self.privatize_into(pair, rng, &mut out)?;
+        Ok(out)
+    }
+
+    /// Privatizes one pair into `out`, reusing its bit buffer: the label
+    /// by GRR, then the item by validity perturbation — valid only if the
+    /// label survived. [`CorrelatedPerturbation::privatize`] is this on a
+    /// fresh report. On error `out` is left unspecified.
+    pub fn privatize_into<R: Rng + ?Sized>(
+        &self,
+        pair: LabelItem,
+        rng: &mut R,
+        out: &mut CpReport,
+    ) -> Result<()> {
         self.domains.check(pair)?;
-        let perturbed_label = self.label_mech.perturb(pair.label, rng)?;
-        let input = if perturbed_label == pair.label {
+        out.label = self.label_mech.perturb(pair.label, rng)?;
+        let input = if out.label == pair.label {
             ValidityInput::Valid(pair.item)
         } else {
             ValidityInput::Invalid
         };
-        Ok(CpReport {
-            label: perturbed_label,
-            bits: self.item_mech.privatize(input, rng)?,
-        })
+        self.item_mech.privatize_into(input, rng, &mut out.bits)
     }
 
     /// Privatizes a pair whose item may already be invalid (pruned), as in
@@ -598,6 +613,27 @@ mod tests {
         // must be the *encoded* bit: rate ≈ p₂ not q₂.
         let rate = flag_set as f64 / trials as f64;
         assert!((rate - 0.5).abs() < 0.05, "flag rate {rate}");
+    }
+
+    /// A reused slot gets the same report as a fresh one, and the RNG ends
+    /// in the same state, across surviving and flipped labels: nothing of
+    /// the slot's previous report leaks into the next.
+    #[test]
+    fn privatize_into_matches_privatize_bit_for_bit() {
+        use rand::RngCore as _;
+        let domains = Domains::new(4, 70).unwrap();
+        let m = CorrelatedPerturbation::with_total(eps(1.0), domains).unwrap();
+        let mut a = StdRng::seed_from_u64(13);
+        let mut b = StdRng::seed_from_u64(13);
+        let mut slot = m.privatize(LabelItem::new(0, 0), &mut a).unwrap();
+        m.privatize(LabelItem::new(0, 0), &mut b).unwrap();
+        for u in 0..300u32 {
+            let pair = LabelItem::new(u % 4, (u * 11) % 70);
+            let fresh = m.privatize(pair, &mut a).unwrap();
+            m.privatize_into(pair, &mut b, &mut slot).unwrap();
+            assert_eq!(fresh, slot, "user {u}");
+        }
+        assert_eq!(a.next_u64(), b.next_u64(), "RNG states diverged");
     }
 
     #[test]

@@ -135,7 +135,7 @@ impl Framework {
     /// Runs the framework end-to-end under an [`Exec`] plan — the single
     /// entry point for every `(threads, chunk)` plan.
     ///
-    /// Under RNG-contract v2 every plan folds the same sharded stages
+    /// Under RNG-contract v3 every plan folds the same sharded stages
     /// through the plan's in-process [`Executor`], so seed-equal plans are
     /// bit-identical across thread counts and chunk sizes, which only pick
     /// the resource envelope. Pass any [`ReportSource`] of label-item pairs: a

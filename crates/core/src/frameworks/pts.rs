@@ -76,11 +76,27 @@ impl Pts {
 
     /// Privatizes one pair: label and item perturbed independently.
     pub fn privatize<R: Rng + ?Sized>(&self, pair: LabelItem, rng: &mut R) -> Result<PtsReport> {
+        let mut out = PtsReport {
+            label: 0,
+            bits: BitVec::zeros(self.domains.items() as usize),
+        };
+        self.privatize_into(pair, rng, &mut out)?;
+        Ok(out)
+    }
+
+    /// Privatizes one pair into `out`, reusing its bit buffer: the label
+    /// by GRR, then the item by OUE. [`Pts::privatize`] is this on a fresh
+    /// report; `out.bits` is reallocated only when its length is not `d`.
+    /// On error `out` is left unspecified.
+    pub fn privatize_into<R: Rng + ?Sized>(
+        &self,
+        pair: LabelItem,
+        rng: &mut R,
+        out: &mut PtsReport,
+    ) -> Result<()> {
         self.domains.check(pair)?;
-        Ok(PtsReport {
-            label: self.label_mech.perturb(pair.label, rng)?,
-            bits: self.item_mech.privatize(pair.item, rng)?,
-        })
+        out.label = self.label_mech.perturb(pair.label, rng)?;
+        self.item_mech.privatize_into(pair.item, rng, &mut out.bits)
     }
 }
 
@@ -435,6 +451,32 @@ mod tests {
                 label: 0,
                 bits: BitVec::zeros(5)
             })
+            .is_err());
+    }
+
+    /// A reused slot gets the same report as a fresh one, and the RNG ends
+    /// in the same state, whatever the slot held before (a stale report,
+    /// or bits of the wrong length).
+    #[test]
+    fn privatize_into_matches_privatize_bit_for_bit() {
+        use rand::RngCore as _;
+        let domains = Domains::new(3, 130).unwrap();
+        let fw = Pts::with_total(eps(1.0), domains).unwrap();
+        let mut a = StdRng::seed_from_u64(9);
+        let mut b = StdRng::seed_from_u64(9);
+        let mut slot = PtsReport {
+            label: 0,
+            bits: BitVec::zeros(7),
+        };
+        for u in 0..300u32 {
+            let pair = LabelItem::new(u % 3, (u * 31) % 130);
+            let fresh = fw.privatize(pair, &mut a).unwrap();
+            fw.privatize_into(pair, &mut b, &mut slot).unwrap();
+            assert_eq!(fresh, slot, "user {u}");
+        }
+        assert_eq!(a.next_u64(), b.next_u64(), "RNG states diverged");
+        assert!(fw
+            .privatize_into(LabelItem::new(3, 0), &mut b, &mut slot)
             .is_err());
     }
 }

@@ -12,7 +12,8 @@
 //! One generic [`FwStage`] wraps the four per-framework [`FwArm`]s (HEC,
 //! PTJ, PTS, PTS-CP); the arm supplies the mechanism calls and the spec
 //! codec, the wrapper supplies the shared fold shape: privatize each pair
-//! into a reusable scratch block, price its uplink, absorb the block
+//! into a reusable scratch block (overwriting the previous fragment's
+//! report slots in place), price its uplink, absorb the block
 //! word-parallel.
 
 use rand::rngs::StdRng;
@@ -81,6 +82,22 @@ pub trait FwArm: Sync + Sized {
     /// Privatizes the user at absolute stream position `abs`.
     fn privatize(&self, rng: &mut StdRng, abs: u64, pair: LabelItem) -> Result<Self::Rep>;
 
+    /// Privatizes the user at `abs` into an existing report slot.
+    ///
+    /// Must write the report [`FwArm::privatize`] returns and consume the
+    /// RNG identically; arms whose reports own a buffer override it to
+    /// reuse that buffer.
+    fn privatize_into(
+        &self,
+        rng: &mut StdRng,
+        abs: u64,
+        pair: LabelItem,
+        out: &mut Self::Rep,
+    ) -> Result<()> {
+        *out = self.privatize(rng, abs, pair)?;
+        Ok(())
+    }
+
     /// Uplink cost of one report in bits.
     fn report_bits(rep: &Self::Rep) -> usize;
 
@@ -131,11 +148,16 @@ impl<M: FwArm> Stage for FwStage<M> {
         part: &mut Self::Acc,
     ) -> Result<()> {
         let FwPartial { agg, comm, scratch } = part;
-        scratch.clear();
+        // Reports of the previous fragment are overwritten in place; the
+        // scratch only allocates while it is still growing.
+        scratch.truncate(pairs.len());
         for (i, &pair) in pairs.iter().enumerate() {
-            let report = self.arm.privatize(rng, abs + i as u64, pair)?;
-            comm.record(M::report_bits(&report));
-            scratch.push(report);
+            let abs = abs + i as u64;
+            match scratch.get_mut(i) {
+                Some(slot) => self.arm.privatize_into(rng, abs, pair, slot)?,
+                None => scratch.push(self.arm.privatize(rng, abs, pair)?),
+            }
+            comm.record(M::report_bits(&scratch[i]));
         }
         self.arm.absorb(agg, scratch)
     }
@@ -316,6 +338,16 @@ impl FwArm for PtsArm {
         self.mech.privatize(pair, rng)
     }
 
+    fn privatize_into(
+        &self,
+        rng: &mut StdRng,
+        _abs: u64,
+        pair: LabelItem,
+        out: &mut PtsReport,
+    ) -> Result<()> {
+        self.mech.privatize_into(pair, rng, out)
+    }
+
     fn report_bits(rep: &PtsReport) -> usize {
         rep.size_bits()
     }
@@ -376,6 +408,16 @@ impl FwArm for CpArm {
 
     fn privatize(&self, rng: &mut StdRng, _abs: u64, pair: LabelItem) -> Result<CpReport> {
         self.mech.privatize(pair, rng)
+    }
+
+    fn privatize_into(
+        &self,
+        rng: &mut StdRng,
+        _abs: u64,
+        pair: LabelItem,
+        out: &mut CpReport,
+    ) -> Result<()> {
+        self.mech.privatize_into(pair, rng, out)
     }
 
     fn report_bits(rep: &CpReport) -> usize {

@@ -109,6 +109,33 @@ impl ValidityPerturbation {
         self.ue.perturb_bits(&encoded, rng)
     }
 
+    /// Encodes and perturbs an input into `out`, reusing its allocation —
+    /// no one-hot temporary.
+    ///
+    /// The encoding is one-hot at `v` (or at the flag `d`), so this is
+    /// unary-encoding privatization over `d+1` values at that position:
+    /// the same noise plane and hot-bit draw as [`Self::privatize`], in
+    /// the same RNG order, hence the same report and post-call RNG state.
+    /// `out` is reallocated only when its length is not `d+1`.
+    pub fn privatize_into<R: Rng + ?Sized>(
+        &self,
+        input: ValidityInput,
+        rng: &mut R,
+        out: &mut BitVec,
+    ) -> Result<()> {
+        let pos = match input {
+            ValidityInput::Valid(v) if v >= self.d => {
+                return Err(Error::ValueOutOfDomain {
+                    value: v as u64,
+                    domain: self.d as u64,
+                })
+            }
+            ValidityInput::Valid(v) => v,
+            ValidityInput::Invalid => self.d,
+        };
+        self.ue.privatize_into(pos, rng, out)
+    }
+
     /// Exact probability of an output vector given an input (for privacy
     /// enumeration tests; `O(d)` per call).
     pub fn response_probability(&self, input: ValidityInput, out: &BitVec) -> f64 {
@@ -317,6 +344,34 @@ mod tests {
     fn encode_rejects_out_of_domain() {
         let vp = ValidityPerturbation::new(eps(1.0), 4).unwrap();
         assert!(vp.encode(ValidityInput::Valid(4)).is_err());
+    }
+
+    /// `privatize_into` equals `privatize` (one-hot encode, then
+    /// `perturb_bits`) bit for bit, RNG state included: valid and invalid
+    /// inputs, dense and sparse `q`, a slot of the wrong length.
+    #[test]
+    fn privatize_into_matches_privatize_bit_for_bit() {
+        use rand::RngCore as _;
+        for (e, d) in [(0.5, 3u32), (1.0, 64), (1.0, 200), (6.0, 100)] {
+            let vp = ValidityPerturbation::new(eps(e), d).unwrap();
+            let mut a = StdRng::seed_from_u64(21);
+            let mut b = StdRng::seed_from_u64(21);
+            let mut slot = BitVec::zeros(1);
+            for u in 0..300u32 {
+                let input = if u % 5 == 0 {
+                    ValidityInput::Invalid
+                } else {
+                    ValidityInput::Valid((u * 7) % d)
+                };
+                let fresh = vp.privatize(input, &mut a).unwrap();
+                vp.privatize_into(input, &mut b, &mut slot).unwrap();
+                assert_eq!(fresh, slot, "ε={e} d={d} user {u}");
+            }
+            assert_eq!(a.next_u64(), b.next_u64(), "ε={e} d={d}: RNG diverged");
+            assert!(vp
+                .privatize_into(ValidityInput::Valid(d), &mut b, &mut slot)
+                .is_err());
+        }
     }
 
     #[test]

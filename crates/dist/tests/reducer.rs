@@ -273,6 +273,57 @@ fn unknown_stage_kind_is_refused_not_hung() {
     cluster.join();
 }
 
+/// A Job frame built under the retired RNG contract v2 is refused with an
+/// `Err` frame naming both versions before any stage runs, and the worker
+/// stays on the connection for the next frame.
+#[test]
+fn worker_refuses_a_job_under_contract_2() {
+    use mcim_dist::proto::{read_frame, write_frame};
+    use mcim_dist::{Frame, ShardAssignment, PROTOCOL_VERSION};
+
+    let mut script = Vec::new();
+    for frame in [
+        Frame::Hello {
+            version: PROTOCOL_VERSION,
+        },
+        Frame::Job {
+            stage_seed: 1,
+            contract: 2,
+            kind: "fw/pts".into(),
+            payload: Vec::new(),
+            shards: ShardAssignment::Range { first: 0, end: 1 },
+        },
+        Frame::Flush,
+        Frame::Shutdown,
+    ] {
+        write_frame(&mut script, &frame).unwrap();
+    }
+    let mut replies = Vec::new();
+    builtin_worker()
+        .serve_io(&script[..], &mut replies)
+        .unwrap();
+
+    let mut r = &replies[..];
+    assert_eq!(
+        read_frame(&mut r).unwrap(),
+        Some(Frame::Hello {
+            version: PROTOCOL_VERSION
+        })
+    );
+    match read_frame(&mut r).unwrap() {
+        Some(Frame::Err { message }) => {
+            assert!(message.contains("job declares v2"), "{message}");
+            assert!(message.contains("implements v3"), "{message}");
+        }
+        other => panic!("expected an Err refusal, got {other:?}"),
+    }
+    assert_eq!(
+        read_frame(&mut r).unwrap(),
+        None,
+        "nothing after the refusal"
+    );
+}
+
 /// When recovery needs a rewind the source cannot provide, the fold fails
 /// with `Unrecoverable` wrapping the original worker failure — never with
 /// silently partial results.

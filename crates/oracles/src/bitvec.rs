@@ -4,16 +4,39 @@
 //! perturbation) transmit one bit per domain value, so reports for realistic
 //! domains (hundreds to tens of thousands of items) dominate both memory and
 //! aggregation time. [`BitVec`] packs bits into `u64` words and provides the
-//! two hot operations:
+//! hot operations:
 //!
-//! * [`BitVec::fill_bernoulli`] — set every bit independently with
-//!   probability `q` using *geometric skipping*: instead of `len` Bernoulli
-//!   draws it draws one geometric gap per set bit, i.e. `O(len·q)` RNG calls.
-//!   For OUE at ε = 4, that is ~55× fewer draws.
-//! * [`BitVec::iter_ones`] — word-at-a-time iteration over set bits for
-//!   server-side aggregation.
+//! * [`BitVec::fill_bernoulli_wordwise`] — the RNG-contract v3 sampler for
+//!   dense noise planes: set every bit independently with probability `q`,
+//!   64 lanes per RNG word, through a fixed-depth bit-sliced walk over
+//!   `q`'s exact 64-bit fixed point plus one tail draw per lane the walk
+//!   leaves undecided (~7.5 draws per word, no `ln`).
+//! * [`BitVec::fill_bernoulli`] — the same distribution by *geometric
+//!   skipping*: instead of `len` Bernoulli draws it draws one geometric gap
+//!   per set bit, i.e. `O(len·q)` RNG calls — cheaper for sparse planes
+//!   (OUE at ε = 4).
+//! * [`BitVec::iter_ones`] and [`BitVec::count_ones_into`] — word-at-a-time
+//!   iteration over set bits for server-side aggregation.
+//!
+//! Pipelines reach both fillers only through `UnaryEncoding`'s plane
+//! sampler, which picks one from `q` alone.
 
 use rand::Rng;
+
+/// Steps of [`BitVec::fill_bernoulli_wordwise`]'s unconditional bit-sliced
+/// walk per output word. After `K` steps a lane is still undecided with
+/// probability 2⁻ᴷ and then costs one tail draw, so a word costs
+/// `K + 64·2⁻ᴷ` draws in expectation: 7.5 at `K = 7`, 8.25 at `K = 8`.
+/// Part of RNG contract v3: changing it changes every seeded output.
+const WALK_DEPTH: u32 = 7;
+
+/// Smallest `q` whose `q·2⁶⁴` is an integer for every `f64` (its lowest
+/// mantissa bit sits at 2⁻⁶⁴); [`BitVec::fill_bernoulli_wordwise`] fills
+/// smaller `q` geometrically.
+const FIXED_POINT_MIN_Q: f64 = 1.0 / 4096.0;
+
+/// 2⁶⁴ as an `f64` (exact).
+const TWO_POW_64: f64 = 18_446_744_073_709_551_616.0;
 
 /// A fixed-length packed bit vector.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -187,32 +210,57 @@ impl BitVec {
     }
 
     /// Sets every bit independently to 1 with probability `q`, sampling
-    /// **64 lanes at a time** instead of per-set-bit geometric gaps.
+    /// **64 lanes at a time** — the RNG-contract v3 wordwise sampler.
     ///
-    /// Each lane's bit is `[U < q]` for an independent uniform `U ∈ [0, 1)`.
-    /// The comparison is evaluated bit-sliced: walking `q`'s binary
-    /// expansion MSB-first with one random word per step, a lane is decided
-    /// `U < q` at the first position where `U`'s bit is 0 and `q`'s bit is
-    /// 1, decided `U ≥ q` where `U`'s bit is 1 and `q`'s bit is 0, and
-    /// stays undecided while the prefixes agree. Lanes still undecided when
-    /// `q`'s (finite, `f64`) expansion ends have matched every 1-bit of `q`
-    /// and are therefore `≥ q`. The result is **exactly** Bernoulli(`q`) —
-    /// no truncation bias — because the loop only terminates once every
-    /// lane is decided or `q`'s expansion is exhausted.
+    /// Each lane's bit is `[U < q]` for an independent uniform `U ∈ [0, 1)`,
+    /// with `q` held as the exact 64-bit fixed-point fraction `q·2⁶⁴`
+    /// (an integer for every `q ≥ 2⁻¹²`). Per output word:
     ///
-    /// The undecided mask halves in expectation every step, so the expected
-    /// RNG cost is ~`log₂ 64 + 2 ≈ 8` words per output word *independent of
-    /// `q`*, with no `ln` evaluations. Geometric skipping
-    /// ([`BitVec::fill_bernoulli`]) costs one `f64` draw **and one `ln`**
-    /// per set bit, i.e. `O(64·q)` per word — cheaper only for sparse fills
-    /// (small `q`). Batch privatization picks between the two by `q`; both
-    /// are exact, they only consume the RNG stream differently.
+    /// 1. **A fixed-depth bit-sliced walk.** Walking `q`'s binary
+    ///    expansion MSB-first with one random word per step, a lane is
+    ///    decided `U < q` at the first position where `U`'s bit is 0 and
+    ///    `q`'s bit is 1, decided `U ≥ q` where `U`'s bit is 1 and `q`'s
+    ///    bit is 0, and stays undecided while the prefixes agree. The walk
+    ///    runs `WALK_DEPTH` steps unconditionally — no data-dependent
+    ///    exit — or fewer when `q`'s expansion is shorter: a dyadic `q`
+    ///    such as 1/2 costs exactly its expansion length in draws (one per
+    ///    word for 1/2) and leaves every still-undecided lane equal to `q`,
+    ///    hence 0.
+    /// 2. **A one-draw tail per undecided lane.** A lane whose first
+    ///    `WALK_DEPTH` bits matched `q`'s draws one more word and
+    ///    compares its top `64 − WALK_DEPTH` bits with the rest of `q`'s
+    ///    fixed-point bits. A tie means `U ≥ q` (those are all of `q`'s
+    ///    bits), so the lane is 0.
+    ///
+    /// The result is **exactly** Bernoulli(`q`) for the `f64` `q`; there is
+    /// no truncation. The expected cost is `WALK_DEPTH + 64·2^−WALK_DEPTH`
+    /// (7.5) draws per word, independent of `q`, with no `ln` evaluations.
+    /// Geometric skipping ([`BitVec::fill_bernoulli`]) costs one `f64`
+    /// draw **and one `ln`** per set bit, i.e. `O(64·q)` per word — cheaper
+    /// only for sparse fills; `UnaryEncoding`'s plane sampler picks between
+    /// the two by `q` alone. Both are exact; they only consume the RNG
+    /// stream differently. A `q` below 2⁻¹² (no exact 64-bit fixed point)
+    /// is filled geometrically here as well.
     pub fn fill_bernoulli_wordwise<R: Rng + ?Sized>(&mut self, q: f64, rng: &mut R) {
-        if self.len == 0 || q <= 0.0 || q >= 1.0 {
-            // Degenerate probabilities: delegate for the constant fills.
+        if self.len == 0 || !(FIXED_POINT_MIN_Q..1.0).contains(&q) {
+            // Degenerate or sparse probabilities: the geometric filler is
+            // exact for every q and handles the constant fills.
             self.fill_bernoulli(q.clamp(0.0, 1.0), rng);
             return;
         }
+        // Exact: q ≥ 2⁻¹² has its lowest mantissa bit at or above 2⁻⁶⁴.
+        let q_fix = (q * TWO_POW_64) as u64;
+        // Positions of q's expansion the walk reads: at most WALK_DEPTH,
+        // and never past q's last 1-bit.
+        let depth = (u64::BITS - q_fix.trailing_zeros()).min(WALK_DEPTH);
+        // q's bits below the walk; 0 exactly when the walk read all of q.
+        let tail = (q_fix << depth) >> depth;
+        let mut steps = [0u64; WALK_DEPTH as usize];
+        for (i, step) in steps.iter_mut().enumerate() {
+            // All-ones where q's bit i is 1.
+            *step = ((q_fix >> (63 - i)) & 1).wrapping_neg();
+        }
+        let steps = &steps[..depth as usize];
         let n_words = self.words.len();
         for (idx, w) in self.words.iter_mut().enumerate() {
             let live = if idx + 1 < n_words || self.len % 64 == 0 {
@@ -222,23 +270,18 @@ impl BitVec {
             };
             let mut result = 0u64;
             let mut undecided = live;
-            // Walk q's binary expansion: doubling an f64 < 1 and
-            // subtracting 1 from a value in [1, 2) are both exact, so `x`
-            // enumerates the expansion bit-for-bit and reaches 0 after
-            // finitely many steps.
-            let mut x = q;
-            while undecided != 0 && x > 0.0 {
-                x *= 2.0;
-                let q_bit = x >= 1.0;
-                if q_bit {
-                    x -= 1.0;
-                }
+            for &q_bit in steps {
                 let r = rng.next_u64();
-                if q_bit {
-                    result |= undecided & !r;
-                    undecided &= r;
-                } else {
-                    undecided &= !r;
+                result |= undecided & !r & q_bit;
+                undecided &= !(r ^ q_bit);
+            }
+            if tail != 0 {
+                while undecided != 0 {
+                    let lane = undecided.trailing_zeros();
+                    undecided &= undecided - 1;
+                    if (rng.next_u64() >> depth) < tail {
+                        result |= 1u64 << lane;
+                    }
                 }
             }
             *w = result;
@@ -475,6 +518,157 @@ mod tests {
             "word-boundary pair rate {boundary_rate} vs q²={}",
             q * q
         );
+    }
+
+    /// An `RngCore` that replays a fixed script of words; drawing past its
+    /// end panics, so a test can pin the exact number of draws.
+    struct Scripted {
+        words: Vec<u64>,
+        next: usize,
+    }
+
+    impl Scripted {
+        fn new(words: Vec<u64>) -> Self {
+            Scripted { words, next: 0 }
+        }
+
+        fn exhausted(&self) -> bool {
+            self.next == self.words.len()
+        }
+    }
+
+    impl rand::RngCore for Scripted {
+        fn next_u64(&mut self) -> u64 {
+            let w = self.words[self.next];
+            self.next += 1;
+            w
+        }
+    }
+
+    /// `q`'s bit `i` of its binary expansion (MSB first) as a lane mask.
+    fn q_bit_mask(q: f64, i: u32) -> u64 {
+        (((q * TWO_POW_64) as u64 >> (63 - i)) & 1).wrapping_neg()
+    }
+
+    /// The tail compares the top `64 − WALK_DEPTH` bits of one draw with
+    /// the rest of `q`'s fixed point: below it → 1; a tie or above → 0.
+    #[test]
+    fn wordwise_tail_decides_ties_as_zero() {
+        let q = 0.3; // non-dyadic: the walk leaves the tail non-empty
+        let q_fix = (q * TWO_POW_64) as u64;
+        let rem = (q_fix << WALK_DEPTH) >> WALK_DEPTH;
+        // Three lanes. Each walk word equals q's bit in every lane, so all
+        // three lanes stay undecided through the whole walk.
+        let mut script: Vec<u64> = (0..WALK_DEPTH).map(|i| q_bit_mask(q, i)).collect();
+        // One tail draw per lane, lowest lane first. The low WALK_DEPTH
+        // bits are set to show they are discarded.
+        let low = (1u64 << WALK_DEPTH) - 1;
+        for c in [rem - 1, rem, rem + 1] {
+            script.push((c << WALK_DEPTH) | low);
+        }
+        let mut rng = Scripted::new(script);
+        let mut v = BitVec::zeros(3);
+        v.fill_bernoulli_wordwise(q, &mut rng);
+        assert!(rng.exhausted(), "walk + 3 tail draws, no more");
+        assert_eq!(v.words(), &[0b001], "c = rem−1 → 1, rem → 0, rem+1 → 0");
+    }
+
+    /// A dyadic `q` costs exactly `min(WALK_DEPTH, expansion length)`
+    /// draws per word and no tail, and each lane is 1 exactly when its
+    /// bits across those draws (MSB first) read below `q`.
+    #[test]
+    fn wordwise_dyadic_q_costs_its_expansion_length() {
+        for (q, expansion) in [(0.5, 1u32), (0.25, 2), (0.375, 3)] {
+            let steps = expansion.min(WALK_DEPTH) as usize;
+            let len = 130; // three words, the last one partial
+            let mut seeded = StdRng::seed_from_u64(5);
+            let words: Vec<u64> = (0..3 * steps).map(|_| seeded.random()).collect();
+            let mut rng = Scripted::new(words.clone());
+            let mut v = BitVec::zeros(len);
+            v.fill_bernoulli_wordwise(q, &mut rng);
+            assert!(rng.exhausted(), "q={q}: fewer than {steps} draws per word");
+            let threshold = (q * f64::from(1u32 << steps)) as u64;
+            for i in 0..len {
+                let draws = &words[(i / 64) * steps..(i / 64 + 1) * steps];
+                let u = draws
+                    .iter()
+                    .fold(0u64, |acc, &r| (acc << 1) | ((r >> (i % 64)) & 1));
+                assert_eq!(v.get(i), u < threshold, "q={q} bit {i}");
+            }
+        }
+    }
+
+    /// Padding lanes beyond `len` are never set, even when the tail sets
+    /// every live lane.
+    #[test]
+    fn wordwise_tail_keeps_padding_clear() {
+        let q = 0.3;
+        let len = 70; // one full word plus six live lanes
+        let mut script = Vec::new();
+        for live in [64u32, 6] {
+            script.extend((0..WALK_DEPTH).map(|i| q_bit_mask(q, i)));
+            // Tail word 0 is below q's remainder: the lane is 1.
+            script.extend(std::iter::repeat_n(0, live as usize));
+        }
+        let mut rng = Scripted::new(script);
+        let mut v = BitVec::zeros(len);
+        v.fill_bernoulli_wordwise(q, &mut rng);
+        assert!(rng.exhausted(), "one tail draw per live lane only");
+        assert_eq!(v.words(), &[u64::MAX, (1 << 6) - 1]);
+        assert_eq!(v.count_ones(), len);
+    }
+
+    /// Seeded statistical check of the wordwise sampler: the rate at
+    /// every lane position 0..63, and the rate of adjacent pairs that
+    /// straddle a word boundary, each within 5 standard errors.
+    #[test]
+    fn wordwise_lane_and_boundary_rates() {
+        let oue_q = |e: f64| 1.0 / (e.exp() + 1.0);
+        let qs = [
+            oue_q(0.5),
+            oue_q(1.0),
+            oue_q(2.0),
+            oue_q(4.0),
+            1.0 / 16.0,
+            1.0 / 3.0,
+            0.9,
+        ];
+        const WORDS: usize = 256;
+        const TRIALS: usize = 160;
+        let mut rng = StdRng::seed_from_u64(2024);
+        let mut v = BitVec::zeros(WORDS * 64);
+        for q in qs {
+            let mut lane = [0u64; 64];
+            let mut boundary = 0u64;
+            for _ in 0..TRIALS {
+                v.fill_bernoulli_wordwise(q, &mut rng);
+                for (j, count) in lane.iter_mut().enumerate() {
+                    *count += v.words().iter().map(|w| (w >> j) & 1).sum::<u64>();
+                }
+                boundary += v
+                    .words()
+                    .windows(2)
+                    .map(|w| (w[0] >> 63) & w[1] & 1)
+                    .sum::<u64>();
+            }
+            let n = (WORDS * TRIALS) as f64;
+            let se = (q * (1.0 - q) / n).sqrt();
+            for (j, &count) in lane.iter().enumerate() {
+                let rate = count as f64 / n;
+                assert!(
+                    (rate - q).abs() < 5.0 * se,
+                    "q={q} lane {j}: rate {rate} (se {se})"
+                );
+            }
+            let pairs = ((WORDS - 1) * TRIALS) as f64;
+            let q2 = q * q;
+            let rate = boundary as f64 / pairs;
+            let se = (q2 * (1.0 - q2) / pairs).sqrt();
+            assert!(
+                (rate - q2).abs() < 5.0 * se,
+                "q={q}: boundary pair rate {rate} vs q² {q2} (se {se})"
+            );
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //!   their serialized partials — without touching any pipeline caller.
 //!
 //! `Stage` + [`Executor::fold`] is the only way a fold runs. Under
-//! [RNG-contract v2](RngContract) that fold is one code path: the chunked
+//! [RNG-contract v3](RngContract) that fold is one code path: the chunked
 //! executor over absolute [`parallel::SHARD_SIZE`] shards, each shard
 //! privatized with its deterministic
 //! [`parallel::shard_rng`]`(stage_seed, shard)` stream. `threads` and
@@ -60,38 +60,40 @@ use crate::Result;
 /// is how seeded outputs are allowed to change: once, versioned, for every
 /// `(threads, chunk)` plan and every backend together.
 ///
-/// **v2** (current): every unary-encoding path — in-process folds,
+/// **v3** (current): every unary-encoding path — in-process folds,
 /// distributed workers and their recovery replays — draws noise planes
 /// through the same word-parallel sampler
 /// ([`crate::BitVec::fill_bernoulli_wordwise`] above the density
-/// cross-over) from the same `(stage_seed, shard)` stream. The retired v1
-/// streams have no code path left; a distributed Job frame carrying any
-/// other version is refused by the worker.
+/// cross-over) from the same `(stage_seed, shard)` stream: a fixed-depth
+/// walk over `q`'s exact 64-bit fixed point plus one tail draw per lane the
+/// walk leaves undecided. Retired contracts (v1, v2) have no code path
+/// left; a distributed Job frame carrying any other version is refused by
+/// the worker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RngContract {
-    /// Word-parallel privatization end-to-end; the only supported
-    /// contract.
-    V2,
+    /// Fixed-depth word-parallel privatization end-to-end; the only
+    /// supported contract.
+    V3,
 }
 
 impl RngContract {
     /// The contract this build implements.
-    pub const CURRENT: RngContract = RngContract::V2;
+    pub const CURRENT: RngContract = RngContract::V3;
     /// The wire encoding of the current contract (what [`StageSpec`]s and
     /// dist Job frames carry).
-    pub const CURRENT_VERSION: u32 = 2;
+    pub const CURRENT_VERSION: u32 = 3;
 
     /// Numeric version for wire frames and stage specs.
     pub fn version(self) -> u32 {
         match self {
-            RngContract::V2 => 2,
+            RngContract::V3 => 3,
         }
     }
 
     /// Lower-case name used in plan displays and CLI flags.
     pub fn name(self) -> &'static str {
         match self {
-            RngContract::V2 => "v2",
+            RngContract::V3 => "v3",
         }
     }
 }
@@ -521,7 +523,7 @@ mod tests {
     #[test]
     fn display_names_the_resolved_plan() {
         let shown = Exec::seeded(5).threads(2).chunk_size(64).to_string();
-        assert_eq!(shown, "seed=5 threads=2 chunk=64 contract=v2");
+        assert_eq!(shown, "seed=5 threads=2 chunk=64 contract=v3");
     }
 
     /// Unset knobs display their lazily resolved values tagged as such, so
@@ -537,7 +539,7 @@ mod tests {
             auto.contains(&format!("chunk={DEFAULT_CHUNK_ITEMS}(default)")),
             "{auto}"
         );
-        assert!(auto.contains("contract=v2"), "{auto}");
+        assert!(auto.contains("contract=v3"), "{auto}");
         let explicit = Exec::new().threads(7).to_string();
         assert!(explicit.contains("threads=7"), "{explicit}");
         assert!(!explicit.contains("threads=7(auto)"), "{explicit}");
@@ -545,10 +547,10 @@ mod tests {
 
     #[test]
     fn rng_contract_versions_round_trip() {
-        assert_eq!(RngContract::CURRENT, RngContract::V2);
+        assert_eq!(RngContract::CURRENT, RngContract::V3);
         assert_eq!(RngContract::CURRENT.version(), RngContract::CURRENT_VERSION);
-        assert_eq!(RngContract::V2.name(), "v2");
-        assert_eq!(RngContract::V2.to_string(), "v2");
+        assert_eq!(RngContract::V3.name(), "v3");
+        assert_eq!(RngContract::V3.to_string(), "v3");
     }
 
     #[allow(clippy::type_complexity)]

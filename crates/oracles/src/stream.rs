@@ -27,39 +27,41 @@
 //! and associative (true for counter sums and [`super::parallel`]-style
 //! accumulators).
 //!
-//! ## RNG-contract v2: one sampler stream for every plan
+//! ## RNG-contract v3: one sampler stream for every plan
 //!
 //! The workspace's seeded outputs are governed by a versioned **RNG
-//! contract** ([`crate::exec::RngContract`]); this section is the v2
+//! contract** ([`crate::exec::RngContract`]); this section is the v3
 //! specification.
 //!
 //! 1. **Shard streams.** Item `i` belongs to absolute shard
 //!    `i / `[`SHARD_SIZE`]; shard `s` is processed with
 //!    [`shard_rng`]`(stage_seed, s)`. The derivation (splitmix64 over a
-//!    salted shard index, seeding a `StdRng`) is unchanged from v1.
+//!    salted shard index, seeding a `StdRng`) is unchanged since v1.
 //!    Fragments of a split shard continue the carried RNG state in order,
 //!    including on distributed workers and their recovery replays.
 //! 2. **One sampler per draw, everywhere.** Unary-encoding noise planes
-//!    are drawn through the contract-v2 plane sampler
+//!    are drawn through the contract-v3 plane sampler
 //!    (`UnaryEncoding::fill_plane`): word-parallel
 //!    ([`crate::BitVec::fill_bernoulli_wordwise`] — 64 lanes per RNG word,
-//!    no `ln` per set bit) whenever the plane probability is at least
-//!    `UnaryEncoding::WORDWISE_MIN_Q`, geometric skipping below it. The
-//!    branch depends only on mechanism parameters, never on the execution
-//!    mode, so `privatize`, `privatize_into` and `perturb_bits` consume
-//!    the RNG stream identically wherever they run.
+//!    a fixed-depth walk over `q`'s exact 64-bit fixed point plus one tail
+//!    draw per lane it leaves undecided, no `ln` per set bit) whenever the
+//!    plane probability is at least `UnaryEncoding::WORDWISE_MIN_Q`,
+//!    geometric skipping below it. The branch depends only on mechanism
+//!    parameters, never on the execution mode, so `privatize`,
+//!    `privatize_into` and `perturb_bits` consume the RNG stream
+//!    identically wherever they run.
 //! 3. **Consequence.** In-process and distributed execution are one code
 //!    path differing only in resource envelope, and their outputs are
 //!    identical for every `(threads, chunk, workers)` under one
 //!    `stage_seed` — the committed determinism / `Exec`-equivalence /
 //!    chaos nets pin exactly this.
 //!
-//! Under v1, the single-threaded path privatized through a per-report
-//! geometric sampler while the sharded bulk path went word-parallel: two
-//! streams for the same seed, and the fast sampler locked out of every
-//! pipeline the equivalence nets pinned. The v2 bump changed all seeded
-//! estimates once (versioned, re-baselined) in exchange for the
-//! word-parallel sampler end-to-end; no v1 code path remains.
+//! Each bump changed all seeded estimates once, versioned and
+//! re-baselined. v2 replaced v1's two streams (a per-report geometric
+//! sampler on the single-threaded path, a word-parallel one on the
+//! sharded path) with the word-parallel sampler end-to-end. v3 replaced
+//! v2's walk, which looped on each word until its last lane was decided,
+//! with the fixed-depth walk above. No v1 or v2 code path remains.
 
 use rand::rngs::StdRng;
 

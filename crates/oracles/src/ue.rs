@@ -112,7 +112,7 @@ impl UnaryEncoding {
     }
 
     /// Fills `out` with an i.i.d. Bernoulli(`prob`) plane — **the**
-    /// RNG-contract v2 sampler every UE path shares.
+    /// RNG-contract v3 sampler every UE path shares.
     ///
     /// Word-parallel ([`BitVec::fill_bernoulli_wordwise`]) when `prob` is
     /// dense enough for the bit-sliced sampler to beat geometric skipping,
@@ -121,7 +121,7 @@ impl UnaryEncoding {
     /// only on `prob` (a mechanism parameter, never on data), every
     /// execution mode picks the same branch and consumes the RNG stream
     /// identically — this is what keeps sequential, batch, stream and
-    /// distributed outputs bit-identical under contract v2.
+    /// distributed outputs bit-identical under contract v3.
     #[inline]
     fn fill_plane<R: Rng + ?Sized>(&self, prob: f64, out: &mut BitVec, rng: &mut R) {
         if prob >= Self::WORDWISE_MIN_Q {
@@ -133,7 +133,7 @@ impl UnaryEncoding {
 
     /// Encodes and perturbs item `v`.
     ///
-    /// Draws its Bernoulli(`q`) noise plane through the shared contract-v2
+    /// Draws its Bernoulli(`q`) noise plane through the shared contract-v3
     /// sampler, so a per-report loop over `privatize` consumes the RNG
     /// stream exactly like [`UnaryEncoding::privatize_into`] — the batch,
     /// stream and distributed paths reproduce this output bit-for-bit from
@@ -155,8 +155,8 @@ impl UnaryEncoding {
     ///
     /// This is the allocation-free twin of [`UnaryEncoding::privatize`]:
     /// both draw the Bernoulli(`q`) noise plane through the same
-    /// contract-v2 sampler (word-parallel for dense `q` — no `ln` per set
-    /// bit, ~8 RNG words per 64 output bits; geometric skipping below
+    /// contract-v3 sampler (word-parallel for dense `q` — no `ln` per set
+    /// bit, ~7.5 RNG words per 64 output bits; geometric skipping below
     /// [`UnaryEncoding::WORDWISE_MIN_Q`]), then one `p` draw for the hot
     /// bit. Identical inputs and RNG state produce identical outputs *and*
     /// identical post-call RNG states on either entry point.
@@ -184,11 +184,14 @@ impl UnaryEncoding {
         Ok(())
     }
 
-    /// Probability threshold above which the contract-v2 plane sampler
+    /// Probability threshold above which the contract-v3 plane sampler
     /// goes word-parallel. Geometric skipping costs ~`64·q` draws + `ln`s
-    /// per word; the bit-sliced sampler a flat ~8 words. The cross-over
-    /// (with `ln` ≈ 2 word-draws of work) sits near `q ≈ 0.04`; 1/16 keeps
-    /// a margin for the cheap-`ln` case.
+    /// per word; the fixed-depth bit-sliced sampler a flat ~7.5 draws
+    /// (its walk depth plus the expected one-draw tails) with no
+    /// data-dependent loop exit. The cross-over (with `ln` ≈ 2 word-draws
+    /// of work) sits near `q ≈ 0.04`; 1/16 keeps a margin for the
+    /// cheap-`ln` case. It also keeps every wordwise `q` far above 2⁻¹²,
+    /// the smallest `q` with an exact 64-bit fixed point.
     pub const WORDWISE_MIN_Q: f64 = 1.0 / 16.0;
 
     /// Perturbs an *already encoded* bit vector of length `d`.
@@ -197,10 +200,10 @@ impl UnaryEncoding {
     /// perturbation encodes invalid items on an extra flag bit and then
     /// applies exactly this bit-flipping step).
     ///
-    /// The Bernoulli(`q`) noise plane comes from the shared contract-v2
+    /// The Bernoulli(`q`) noise plane comes from the shared contract-v3
     /// sampler (word-parallel for dense `q`, geometric below
     /// [`UnaryEncoding::WORDWISE_MIN_Q`]). Set bits get one draw each
-    /// while the encoding is sparse (the one-hot case), and a contract-v2
+    /// while the encoding is sparse (the one-hot case), and a contract-v3
     /// Bernoulli(`p`) mask once the per-bit draws would cost more than
     /// sampling the mask — so the RNG cost is `O(d·min(q + p, q + 1 − p))`
     /// draws even for dense inputs, never a per-bit loop over the whole
@@ -321,7 +324,7 @@ mod tests {
 
     #[test]
     fn privatize_and_privatize_into_share_one_rng_stream() {
-        // The RNG-contract v2 invariant: both entry points draw through
+        // The RNG-contract v3 invariant: both entry points draw through
         // the same plane sampler, so equal seeds give equal outputs AND
         // equal post-call RNG states — on either side of the
         // WORDWISE_MIN_Q cross-over.

@@ -236,7 +236,7 @@ pub struct TopKResult {
 /// plan seed and fans out over fixed-size shards with derived per-shard
 /// RNGs, so the mined result is bit-identical for every thread count,
 /// chunk size and worker count. A one-thread plan is this same runtime
-/// pinned to one worker (RNG-contract v2; see `mcim_oracles::stream`).
+/// pinned to one worker (RNG-contract v3; see `mcim_oracles::stream`).
 struct Pace<'r, E: Executor> {
     /// Per-stage seed stream.
     stream: SplitMix64,
@@ -312,7 +312,7 @@ impl<E: Executor> Pace<'_, E> {
 ///
 /// Every plan fans each bulk privatize+aggregate stage out over
 /// fixed-size shards with RNG streams derived from the plan seed
-/// (RNG-contract v2), so the mined result is a pure function of
+/// (RNG-contract v3), so the mined result is a pure function of
 /// `(method, config, domains, pairs, seed)` — bit-identical across
 /// in-process and distributed execution for every thread count and chunk
 /// size (the `MCIM_THREADS` CI matrix locks this in).

@@ -452,7 +452,7 @@ impl PemEngine {
     /// label does not match the class being mined). Returns uplink
     /// statistics.
     ///
-    /// Under RNG-contract v2 every plan folds the round's serializable
+    /// Under RNG-contract v3 every plan folds the round's serializable
     /// stage through the plan's in-process executor
     /// ([`PemEngine::execute_round_on`]), so seed-equal plans are
     /// bit-identical across thread counts and chunk sizes.
@@ -652,7 +652,7 @@ impl Pem {
     /// (pulled straight off the source via [`Take`] — no round group is
     /// materialized beyond one chunk) and round `r` runs through
     /// [`PemEngine::execute_round_on`] with the `r`-th seed of the
-    /// [`SplitMix64`] stream over the plan seed; under RNG-contract v2 the
+    /// [`SplitMix64`] stream over the plan seed; under RNG-contract v3 the
     /// result is bit-identical for every thread count and chunk size. The
     /// round split needs the population size up front, so the source must
     /// be **sized**.

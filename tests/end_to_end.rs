@@ -30,24 +30,94 @@ fn frequency_pipeline_on_syn1() {
     }
 }
 
+/// Closed-form standard deviation of PTS-CP's class-total estimate
+/// `Σ_I f̂(C, I)` for class `label`.
+///
+/// Summed over items, Eq. (4) is `(Σ_u B_u·(S_u − a) − const) / denom`:
+/// `B_u` marks a user whose perturbed label is `C`, `S_u` counts the set
+/// item bits of its report (the flag bit excluded), and `a` folds in the
+/// `n̂` correction. Users are independent, so the variance is a sum of
+/// per-user terms, one for users of class `C` and one for the others.
+fn cp_class_total_sigma(mech: &CorrelatedPerturbation, d: u32, n_class: f64, n_total: f64) -> f64 {
+    let (p1, q1) = mech.label_probs();
+    let (p2, q2) = mech.item_probs();
+    let d = f64::from(d);
+    let denom = p1 * (1.0 - q2) * (p2 - q2);
+    let a = d * q2 * (p1 * (1.0 - q2) - q1 * (1.0 - p2)) / (p1 - q1);
+    // Var(B·(S − a)) for Pr[B] = pb and S with the given mean and variance.
+    let var_term = |pb: f64, mean_s: f64, var_s: f64| {
+        let shift = mean_s - a;
+        pb * (var_s + shift * shift) - (pb * shift).powi(2)
+    };
+    // Label kept → a valid report: the hot bit plus d−1 cold bits.
+    let same = var_term(
+        p1,
+        p2 + (d - 1.0) * q2,
+        p2 * (1.0 - p2) + (d - 1.0) * q2 * (1.0 - q2),
+    );
+    // Label flipped into C → an invalid report: d cold item bits.
+    let other = var_term(q1, d * q2, d * q2 * (1.0 - q2));
+    ((n_class * same + (n_total - n_class) * other) / (denom * denom)).sqrt()
+}
+
+/// PTS-CP's class totals are unbiased and stay within 5σ on every seed.
+///
+/// One seed's error is a single draw with σ ≈ 250 per class here, so a
+/// fixed band cannot separate a biased estimator from an unlucky seed.
+/// Over 300 seeds the mean error of each class must lie within 4 standard
+/// errors (σ/√300) of 0 — far tighter on bias than any single-seed band —
+/// the empirical spread must match the closed-form σ, and no seed may
+/// leave the ±5σ band.
 #[test]
 fn frequency_estimates_are_consistent_with_class_totals() {
+    const SEEDS: u64 = 300;
     let ds = syn1(0.002, 4);
-    let result = Framework::PtsCp { label_frac: 0.5 }
-        .execute(
-            Eps::new(3.0).unwrap(),
-            ds.domains,
-            &Exec::seeded(42).threads(1),
-            SliceSource::new(&ds.pairs),
-        )
-        .unwrap();
+    let eps = Eps::new(3.0).unwrap();
     let sizes = ds.class_sizes();
-    for c in 0..4u32 {
-        let estimated: f64 = result.table.class_total(c);
-        let true_size = sizes[c as usize] as f64;
+    let n_total = ds.pairs.len() as f64;
+    let (e1, e2) = eps.split(0.5).unwrap();
+    let mech = CorrelatedPerturbation::new(e1, e2, ds.domains).unwrap();
+    let sigma: Vec<f64> = (0..4)
+        .map(|c| cp_class_total_sigma(&mech, ds.domains.items(), sizes[c] as f64, n_total))
+        .collect();
+
+    let mut sum = [0.0f64; 4];
+    let mut sum_sq = [0.0f64; 4];
+    for seed in 0..SEEDS {
+        let result = Framework::PtsCp { label_frac: 0.5 }
+            .execute(
+                eps,
+                ds.domains,
+                &Exec::seeded(seed).threads(1),
+                SliceSource::new(&ds.pairs),
+            )
+            .unwrap();
+        for c in 0..4usize {
+            let err = result.table.class_total(c as u32) - sizes[c] as f64;
+            assert!(
+                err.abs() < 5.0 * sigma[c],
+                "seed {seed} class {c}: error {err} outside ±5σ (σ = {})",
+                sigma[c]
+            );
+            sum[c] += err;
+            sum_sq[c] += err * err;
+        }
+    }
+    let n = SEEDS as f64;
+    for c in 0..4 {
+        let mean = sum[c] / n;
+        let std_err = sigma[c] / n.sqrt();
         assert!(
-            (estimated - true_size).abs() < 0.25 * true_size.max(1000.0),
-            "class {c}: estimated total {estimated} vs {true_size}"
+            mean.abs() < 4.0 * std_err,
+            "class {c}: mean error {mean} over {SEEDS} seeds exceeds 4 standard errors ({std_err})"
+        );
+        // The spread must match the closed form: the sample σ of 300
+        // draws has a relative standard error of about 4%.
+        let spread = (sum_sq[c] / n - mean * mean).sqrt();
+        assert!(
+            (spread / sigma[c] - 1.0).abs() < 0.2,
+            "class {c}: empirical σ {spread} vs closed form {}",
+            sigma[c]
         );
     }
 }

@@ -1,4 +1,4 @@
-//! The `Exec` equivalence matrix under RNG-contract v2: every
+//! The `Exec` equivalence matrix under RNG-contract v3: every
 //! `(threads, chunk)` plan of every `execute` entry point must be
 //! **bit-identical** to every other plan with the same seed.
 //!
@@ -184,7 +184,7 @@ fn topk_execute_is_mode_invariant() {
     }
 }
 
-/// Under RNG-contract v2 a single-threaded run IS the sharded runtime
+/// Under RNG-contract v3 a single-threaded run IS the sharded runtime
 /// pinned to one worker — every plan shares one noise stream, so a
 /// one-thread run and a two-thread whole-input run of the same seed must
 /// agree bit-for-bit (pre-v2, the sequential path kept a separate
