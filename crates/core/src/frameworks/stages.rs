@@ -148,9 +148,9 @@ impl<M: FwArm> Stage for FwStage<M> {
         part: &mut Self::Acc,
     ) -> Result<()> {
         let FwPartial { agg, comm, scratch } = part;
-        // Reports of the previous fragment are overwritten in place; the
-        // scratch only allocates while it is still growing.
-        scratch.truncate(pairs.len());
+        // Reports of earlier fragments are overwritten in place and kept
+        // past a shorter fragment, so the scratch only allocates while it
+        // grows to the longest fragment seen.
         for (i, &pair) in pairs.iter().enumerate() {
             let abs = abs + i as u64;
             match scratch.get_mut(i) {
@@ -159,7 +159,7 @@ impl<M: FwArm> Stage for FwStage<M> {
             }
             comm.record(M::report_bits(&scratch[i]));
         }
-        self.arm.absorb(agg, scratch)
+        self.arm.absorb(agg, &scratch[..pairs.len()])
     }
 
     fn merge(&self, into: &mut Self::Acc, from: &Self::Acc) -> Result<()> {

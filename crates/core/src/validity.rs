@@ -103,10 +103,12 @@ impl ValidityPerturbation {
         }
     }
 
-    /// Encodes and perturbs an input.
+    /// Encodes and perturbs an input: [`Self::privatize_into`] on a fresh
+    /// report.
     pub fn privatize<R: Rng + ?Sized>(&self, input: ValidityInput, rng: &mut R) -> Result<BitVec> {
-        let encoded = self.encode(input)?;
-        self.ue.perturb_bits(&encoded, rng)
+        let mut out = BitVec::zeros(self.report_bits());
+        self.privatize_into(input, rng, &mut out)?;
+        Ok(out)
     }
 
     /// Encodes and perturbs an input into `out`, reusing its allocation —
@@ -114,9 +116,9 @@ impl ValidityPerturbation {
     ///
     /// The encoding is one-hot at `v` (or at the flag `d`), so this is
     /// unary-encoding privatization over `d+1` values at that position:
-    /// the same noise plane and hot-bit draw as [`Self::privatize`], in
-    /// the same RNG order, hence the same report and post-call RNG state.
-    /// `out` is reallocated only when its length is not `d+1`.
+    /// the noise plane, then one keep draw for the hot bit — the report
+    /// and RNG use of [`UnaryEncoding::perturb_bits`] on [`Self::encode`]'s
+    /// vector. `out` is reallocated only when its length is not `d+1`.
     pub fn privatize_into<R: Rng + ?Sized>(
         &self,
         input: ValidityInput,
@@ -354,8 +356,12 @@ mod tests {
         use rand::RngCore as _;
         for (e, d) in [(0.5, 3u32), (1.0, 64), (1.0, 200), (6.0, 100)] {
             let vp = ValidityPerturbation::new(eps(e), d).unwrap();
+            let ue = UnaryEncoding::optimized(eps(e), d + 1).unwrap();
+            // Reference: the textbook form — encode the one-hot vector,
+            // then perturb every bit of it.
             let mut a = StdRng::seed_from_u64(21);
             let mut b = StdRng::seed_from_u64(21);
+            let mut c = StdRng::seed_from_u64(21);
             let mut slot = BitVec::zeros(1);
             for u in 0..300u32 {
                 let input = if u % 5 == 0 {
@@ -363,11 +369,14 @@ mod tests {
                 } else {
                     ValidityInput::Valid((u * 7) % d)
                 };
-                let fresh = vp.privatize(input, &mut a).unwrap();
+                let reference = ue.perturb_bits(&vp.encode(input).unwrap(), &mut a).unwrap();
                 vp.privatize_into(input, &mut b, &mut slot).unwrap();
-                assert_eq!(fresh, slot, "ε={e} d={d} user {u}");
+                assert_eq!(reference, slot, "ε={e} d={d} user {u}");
+                assert_eq!(reference, vp.privatize(input, &mut c).unwrap());
             }
-            assert_eq!(a.next_u64(), b.next_u64(), "ε={e} d={d}: RNG diverged");
+            let next = a.next_u64();
+            assert_eq!(next, b.next_u64(), "ε={e} d={d}: RNG diverged");
+            assert_eq!(next, c.next_u64(), "ε={e} d={d}: RNG diverged");
             assert!(vp
                 .privatize_into(ValidityInput::Valid(d), &mut b, &mut slot)
                 .is_err());

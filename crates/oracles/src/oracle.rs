@@ -420,7 +420,7 @@ mod tests {
             // The documented contract: shard s is privatized sequentially
             // with parallel::shard_rng(base, s) through the plain
             // per-report privatize loop — for every mechanism, including
-            // unary encoding (contract v2 shares one sampler stream).
+            // unary encoding (contract v3 shares one sampler stream).
             let mut reference = Vec::new();
             for (s, chunk) in values.chunks(parallel::SHARD_SIZE).enumerate() {
                 let mut rng = parallel::shard_rng(base, s as u64);
