@@ -126,26 +126,6 @@ impl CorrelatedPerturbation {
         self.item_mech.privatize_into(input, rng, &mut out.bits)
     }
 
-    /// Privatizes a pair whose item may already be invalid (pruned), as in
-    /// Algorithm 2's final iteration: validity requires *both* the label to
-    /// survive and the item to be valid.
-    pub fn privatize_with_validity<R: Rng + ?Sized>(
-        &self,
-        label: u32,
-        item: ValidityInput,
-        rng: &mut R,
-    ) -> Result<CpReport> {
-        let perturbed_label = self.label_mech.perturb(label, rng)?;
-        let input = match item {
-            ValidityInput::Valid(v) if perturbed_label == label => ValidityInput::Valid(v),
-            _ => ValidityInput::Invalid,
-        };
-        Ok(CpReport {
-            label: perturbed_label,
-            bits: self.item_mech.privatize(input, rng)?,
-        })
-    }
-
     /// Exact probability of `(label_out, bits_out)` given a true pair — for
     /// the privacy-enumeration tests.
     pub fn response_probability(&self, pair: LabelItem, label_out: u32, bits_out: &BitVec) -> f64 {
@@ -590,29 +570,6 @@ mod tests {
             (rate - 0.5).abs() < 0.02,
             "flag rate {rate} should be p₂ = 1/2"
         );
-    }
-
-    #[test]
-    fn privatize_with_validity_respects_pruned_items() {
-        // Invalid item input can never produce a valid encoding, even when
-        // the label survives.
-        let domains = Domains::new(2, 4).unwrap();
-        let m = CorrelatedPerturbation::new(eps(8.0), eps(8.0), domains).unwrap();
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut flag_set = 0;
-        let trials = 2_000;
-        for _ in 0..trials {
-            let r = m
-                .privatize_with_validity(0, ValidityInput::Invalid, &mut rng)
-                .unwrap();
-            if r.bits.get(4) {
-                flag_set += 1;
-            }
-        }
-        // With ε₂ = 8, the flag survives perturbation with p₂ = 1/2 — but it
-        // must be the *encoded* bit: rate ≈ p₂ not q₂.
-        let rate = flag_set as f64 / trials as f64;
-        assert!((rate - 0.5).abs() < 0.05, "flag rate {rate}");
     }
 
     /// A reused slot gets the same report as a fresh one, and the RNG ends

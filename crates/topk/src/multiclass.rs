@@ -15,8 +15,6 @@
 //! and ε₂ on the single item report each user submits — every user reports
 //! in exactly one round, so the total stays ε = ε₁ + ε₂.
 
-use std::collections::HashMap;
-
 use rand::Rng;
 
 use mcim_core::{CommStats, Domains, LabelItem, ValidityInput, ValidityPerturbation, VpAggregator};
@@ -24,11 +22,11 @@ use mcim_oracles::exec::{Exec, Executor};
 use mcim_oracles::hash::SplitMix64;
 use mcim_oracles::stream::{drain_source, ReportSource, SliceSource};
 use mcim_oracles::{
-    calibrate::unbiased_count, parallel, Aggregator, Eps, Error, Grr, Oracle, Result,
+    calibrate::unbiased_count, parallel, Aggregator, BitVec, Eps, Error, Grr, Oracle, Result,
 };
 
 use crate::pem::{Pem, PemConfig, PemEngine, PemOutcome};
-use crate::shuffle::ShuffleEngine;
+use crate::shuffle::{CandidateTable, ShuffleEngine};
 
 /// Which form of Algorithm 2's noise test gates the final CP round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -270,17 +268,6 @@ impl<E: Executor> Pace<'_, E> {
         })
     }
 
-    /// Privatizes and aggregates a block of validity-perturbation inputs.
-    fn vp_aggregate(
-        &mut self,
-        vp: &ValidityPerturbation,
-        inputs: &[ValidityInput],
-        comm: &mut CommStats,
-    ) -> Result<VpAggregator> {
-        let base = self.stream.next_u64();
-        vp_aggregate_batch(vp, inputs, base, self.threads, comm)
-    }
-
     /// Runs one PEM round on a prepared item group.
     fn pem_round(
         &mut self,
@@ -319,11 +306,12 @@ impl<E: Executor> Pace<'_, E> {
 ///
 /// Multi-round mining routes users into per-class groups that later
 /// rounds revisit, so the 8-byte pairs themselves are drained into memory
-/// (≈ 40 MB at the paper's 5M users) under every plan — but every privatized
-/// report still lives only inside the sharded runtime's
-/// `O(threads × shard)` buffers, never as an `O(n)` slice, and the
-/// pull-based ingestion means the pairs can come straight off disk or a
-/// socket instead of a pre-built `Vec`.
+/// (≈ 40 MB at the paper's 5M users) under every plan. Privatized reports
+/// never are: every VP and CP round privatizes into one reused report slot
+/// per shard and absorbs it before the next user, and the adaptive-oracle
+/// rounds hold at most one shard of reports per worker. The pull-based
+/// ingestion means the pairs can come straight off disk or a socket
+/// instead of a pre-built `Vec`.
 pub fn execute<S>(
     method: TopKMethod,
     config: TopKConfig,
@@ -527,14 +515,10 @@ fn ptj_shuffled<E: Executor>(
     // Final round: direct estimation over the surviving pairs.
     let final_chunk = chunks.next().unwrap_or(&[]);
     let cands = engine.candidates().to_vec();
-    let index: HashMap<u32, u32> = cands
-        .iter()
-        .enumerate()
-        .map(|(i, &p)| (p, i as u32))
-        .collect();
+    let index = CandidateTable::positions(&cands);
     let inputs: Vec<Option<u32>> = final_chunk
         .iter()
-        .map(|p| index.get(&domains.joint_index(*p)).copied())
+        .map(|p| index.get(domains.joint_index(*p)))
         .collect();
     let scores = score_round(pace, config.eps, cands.len(), &inputs, validity, &mut comm)?;
 
@@ -786,22 +770,13 @@ fn pts_shuffled<E: Executor>(
     let n_final: usize = finals.iter().map(|f| f.users.len()).sum();
     let mut per_class: Vec<Vec<u32>> = vec![Vec::new(); c];
 
-    // Pieces shared by both pacing arms, so the estimator math cannot
-    // silently diverge between them.
-    let cand_index = |fg: &FinalGroup<'_>| -> HashMap<u32, u32> {
-        fg.candidates
-            .iter()
-            .enumerate()
-            .map(|(i, &it)| (it, i as u32))
-            .collect()
-    };
     // Correlated perturbation: validity requires the routed label to match
     // the true label AND the item to have survived pruning.
-    let cp_inputs = |fg: &FinalGroup<'_>, index: &HashMap<u32, u32>| -> Vec<ValidityInput> {
+    let cp_inputs = |fg: &FinalGroup<'_>, index: &CandidateTable| -> Vec<ValidityInput> {
         fg.users
             .iter()
-            .map(|p| match index.get(&p.item) {
-                Some(&idx) if p.label == fg.class => ValidityInput::Valid(idx),
+            .map(|p| match index.get(p.item) {
+                Some(idx) if p.label == fg.class => ValidityInput::Valid(idx),
                 _ => ValidityInput::Invalid,
             })
             .collect()
@@ -819,11 +794,8 @@ fn pts_shuffled<E: Executor>(
             .map(|&cnt| (cnt as f64 - n_f * q1 * q2 * (1.0 - p2) - correction) / denom)
             .collect::<Vec<f64>>()
     };
-    let item_inputs = |fg: &FinalGroup<'_>, index: &HashMap<u32, u32>| -> Vec<Option<u32>> {
-        fg.users
-            .iter()
-            .map(|p| index.get(&p.item).copied())
-            .collect()
+    let item_inputs = |fg: &FinalGroup<'_>, index: &CandidateTable| -> Vec<Option<u32>> {
+        fg.users.iter().map(|p| index.get(p.item)).collect()
     };
     let rank_top = |cands: &[u32], scores: Vec<f64>| -> Vec<u32> {
         let mut ranked: Vec<(u32, f64)> = cands.iter().copied().zip(scores).collect();
@@ -836,7 +808,7 @@ fn pts_shuffled<E: Executor>(
     let class_scores_batch =
         |fg: &FinalGroup<'_>, seed: u64, threads: usize| -> Result<(Vec<f64>, CommStats)> {
             let mut comm = CommStats::default();
-            let index = cand_index(fg);
+            let index = CandidateTable::positions(&fg.candidates);
             let scores = if fg.use_cp {
                 let vp = ValidityPerturbation::new(e2, fg.candidates.len() as u32)?;
                 let inputs = cp_inputs(fg, &index);
@@ -894,12 +866,8 @@ fn pts_shuffled<E: Executor>(
 
 // ------------------------------------------------------------ helpers --
 
-/// Aggregates one round of bucket/candidate reports and returns raw scores.
-/// `inputs` holds each user's bucket (`None` = invalid). With `validity`
-/// the VP mechanism is used; otherwise invalid users substitute a uniform
-/// random bucket (vanilla PEM deniability) under the adaptive oracle.
-/// Bulk work is sharded across `pace`'s threads with derived deterministic
-/// streams.
+/// [`score_round_batch`] on the next stage seed of `pace`, sharded over
+/// its threads.
 fn score_round<E: Executor>(
     pace: &mut Pace<'_, E>,
     eps: Eps,
@@ -908,24 +876,8 @@ fn score_round<E: Executor>(
     validity: bool,
     comm: &mut CommStats,
 ) -> Result<Vec<f64>> {
-    if buckets == 0 {
-        return Ok(Vec::new());
-    }
-    if validity {
-        let vp = ValidityPerturbation::new(eps, buckets as u32)?;
-        let vp_inputs: Vec<ValidityInput> = inputs
-            .iter()
-            .map(|b| match b {
-                Some(idx) => ValidityInput::Valid(*idx),
-                None => ValidityInput::Invalid,
-            })
-            .collect();
-        let agg = pace.vp_aggregate(&vp, &vp_inputs, comm)?;
-        Ok(agg.raw_counts().iter().map(|&c| c as f64).collect())
-    } else {
-        let base = pace.next_seed();
-        oracle_score_batch(eps, buckets, inputs, base, pace.threads, comm)
-    }
+    let seed = pace.next_seed();
+    score_round_batch(eps, buckets, inputs, validity, seed, pace.threads, comm)
 }
 
 /// The sharded half of [`score_round`]'s oracle path, callable with an
@@ -963,8 +915,10 @@ fn oracle_score_batch(
     Ok(agg.estimate())
 }
 
-/// The sharded half of [`Pace::vp_aggregate`], callable with an explicit
-/// base seed (same rationale as [`oracle_score_batch`]).
+/// Privatizes and aggregates a block of validity-perturbation inputs,
+/// sharded with derived streams under an explicit base seed (same
+/// rationale as [`oracle_score_batch`]). Each shard privatizes into one
+/// reused report slot and absorbs it before the next user.
 fn vp_aggregate_batch(
     vp: &ValidityPerturbation,
     inputs: &[ValidityInput],
@@ -975,28 +929,31 @@ fn vp_aggregate_batch(
     let mut agg = VpAggregator::new(vp);
     let shards = parallel::map_shards(inputs, threads, |shard, chunk| {
         let mut rng = parallel::shard_rng(base_seed, shard);
-        let mut shard_comm = CommStats::default();
-        let mut reports = Vec::with_capacity(chunk.len());
-        for &input in chunk {
-            let report = vp.privatize(input, &mut rng)?;
-            shard_comm.record(report.len());
-            reports.push(report);
-        }
         let mut local = VpAggregator::new(vp);
-        local.absorb_all(&reports)?;
-        Ok::<_, Error>((local, shard_comm))
+        let mut report = BitVec::zeros(vp.report_bits());
+        for &input in chunk {
+            vp.privatize_into(input, &mut rng, &mut report)?;
+            local.absorb(&report)?;
+        }
+        Ok::<_, Error>(local)
     });
     for shard in shards {
-        let (partial, partial_comm) = shard?;
-        agg.merge(&partial)?;
-        comm.merge(partial_comm);
+        agg.merge(&shard?)?;
+    }
+    for _ in inputs {
+        comm.record(vp.report_bits());
     }
     Ok(agg)
 }
 
-/// [`score_round`]'s sharded path with an explicit base seed — the
-/// per-class final rounds pre-draw one seed per class in class order and
-/// then run the classes themselves on worker threads.
+/// Scores one round of bucket/candidate reports. `inputs` holds each
+/// user's bucket (`None` = invalid). With `validity` the VP mechanism is
+/// used and the raw VP counts are the scores; otherwise invalid users
+/// substitute a uniform random bucket (vanilla PEM deniability) under the
+/// adaptive oracle. The work is sharded over `threads` with streams
+/// derived from `base_seed`, so the per-class final rounds can pre-draw
+/// one seed per class in class order and run the classes themselves on
+/// worker threads.
 fn score_round_batch(
     eps: Eps,
     buckets: usize,

@@ -15,8 +15,6 @@
 //! path; determinism is guaranteed by [`mcim_oracles::hash::SplitMix64`],
 //! not by `rand` internals).
 
-use std::collections::HashMap;
-
 use mcim_oracles::hash::SplitMix64;
 
 /// Balanced contiguous bucket assignment: position `pos` of `n` shuffled
@@ -65,13 +63,57 @@ pub fn replay(initial: &[u32], rounds: &[CompletedRound]) -> Vec<u32> {
     candidates
 }
 
-/// A live round: the shuffled view plus an item → bucket index.
+/// An item-indexed lookup table over a candidate list: entry `item`
+/// holds that candidate's slot (a bucket, or a position in the list), and
+/// [`CandidateTable::ABSENT`] marks an item that is not a candidate — one
+/// pruned in an earlier round. The table spans `0..=max candidate`, so it
+/// is never longer than the domain the candidates come from; a lookup is
+/// one bounds-checked load, with no hashing.
+#[derive(Debug, Clone)]
+pub(crate) struct CandidateTable {
+    slots: Vec<u32>,
+}
+
+impl CandidateTable {
+    /// The entry of an item without a slot.
+    pub(crate) const ABSENT: u32 = u32::MAX;
+
+    /// Maps `candidates[i]` to `slot(i)`; a repeated candidate keeps its
+    /// last slot. Slots must be below [`CandidateTable::ABSENT`].
+    pub(crate) fn build(candidates: &[u32], mut slot: impl FnMut(usize) -> u32) -> Self {
+        let len = candidates.iter().max().map_or(0, |&m| m as usize + 1);
+        let mut slots = vec![Self::ABSENT; len];
+        for (i, &item) in candidates.iter().enumerate() {
+            let s = slot(i);
+            debug_assert_ne!(s, Self::ABSENT, "slot value reserved for absent items");
+            slots[item as usize] = s;
+        }
+        CandidateTable { slots }
+    }
+
+    /// Maps each candidate to its position in `candidates`.
+    pub(crate) fn positions(candidates: &[u32]) -> Self {
+        Self::build(candidates, |i| i as u32)
+    }
+
+    /// The slot of `item`, or `None` if it is not a candidate.
+    #[inline]
+    pub(crate) fn get(&self, item: u32) -> Option<u32> {
+        match self.slots.get(item as usize) {
+            Some(&s) if s != Self::ABSENT => Some(s),
+            _ => None,
+        }
+    }
+}
+
+/// A live round: the shuffled view plus an item → bucket table over the
+/// current candidates (pruned items read as absent).
 #[derive(Debug, Clone)]
 pub struct RoundView {
     seed: u64,
     buckets: usize,
     n: usize,
-    item_bucket: HashMap<u32, u32>,
+    item_bucket: CandidateTable,
 }
 
 impl RoundView {
@@ -79,7 +121,7 @@ impl RoundView {
     /// earlier round (i.e. it is *invalid* now).
     #[inline]
     pub fn bucket_of_item(&self, item: u32) -> Option<u32> {
-        self.item_bucket.get(&item).copied()
+        self.item_bucket.get(item)
     }
 
     /// Number of buckets.
@@ -149,11 +191,7 @@ impl ShuffleEngine {
         SplitMix64::new(seed).shuffle(&mut shuffled);
         let n = shuffled.len();
         let buckets = buckets.min(n.max(1));
-        let item_bucket = shuffled
-            .iter()
-            .enumerate()
-            .map(|(pos, &item)| (item, bucket_of(pos, n, buckets) as u32))
-            .collect();
+        let item_bucket = CandidateTable::build(&shuffled, |pos| bucket_of(pos, n, buckets) as u32);
         self.pending = Some((seed, buckets));
         RoundView {
             seed,
@@ -197,6 +235,66 @@ impl ShuffleEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
+
+    /// Looks up every item of `0..domain + 8` plus the top of the `u32`
+    /// range in `view`, and checks each answer against a `HashMap` built
+    /// from the same shuffle of `candidates`.
+    fn assert_view_matches_reference(view: &RoundView, candidates: &[u32], domain: u32) {
+        let mut shuffled = candidates.to_vec();
+        SplitMix64::new(view.seed).shuffle(&mut shuffled);
+        let n = shuffled.len();
+        let reference: HashMap<u32, u32> = shuffled
+            .iter()
+            .enumerate()
+            .map(|(pos, &item)| (item, bucket_of(pos, n, view.buckets()) as u32))
+            .collect();
+        for item in (0..domain + 8).chain([u32::MAX - 1, u32::MAX]) {
+            assert_eq!(
+                view.bucket_of_item(item),
+                reference.get(&item).copied(),
+                "item {item}"
+            );
+        }
+    }
+
+    proptest! {
+        /// The dense item → bucket table answers exactly as a `HashMap`
+        /// over the same shuffled candidates: live items get their bucket;
+        /// pruned items, items past the largest candidate and `u32::MAX`
+        /// are absent. The second view's candidates come out of a real
+        /// pruning round.
+        #[test]
+        fn dense_table_matches_hashmap_reference(
+            domain in 1u32..400,
+            live in prop::collection::vec(any::<bool>(), 400..401),
+            seed in any::<u64>(),
+            buckets in 1usize..40,
+            keep in 1usize..40,
+        ) {
+            let candidates: Vec<u32> = (0..domain).filter(|&i| live[i as usize]).collect();
+            let mut engine = ShuffleEngine::new(candidates.clone());
+            let view = engine.begin_round(seed, buckets);
+            assert_view_matches_reference(&view, &candidates, domain);
+
+            let scores: Vec<f64> = (0..view.buckets())
+                .map(|b| (seed.rotate_left(b as u32) % 101) as f64)
+                .collect();
+            engine.complete_round(&view, &scores, keep);
+            let survivors = engine.candidates().to_vec();
+            let view = engine.begin_round(seed ^ 0x9E37_79B9, buckets);
+            assert_view_matches_reference(&view, &survivors, domain);
+
+            let positions = CandidateTable::positions(&survivors);
+            for item in (0..domain + 8).chain([u32::MAX]) {
+                prop_assert_eq!(
+                    positions.get(item),
+                    survivors.iter().position(|&c| c == item).map(|i| i as u32)
+                );
+            }
+        }
+    }
 
     #[test]
     fn bucket_assignment_is_balanced() {

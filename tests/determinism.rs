@@ -7,6 +7,7 @@
 //! reorders RNG draws shows up here before it silently changes every
 //! benchmark number.
 
+use multiclass_ldp::core::CommStats;
 use multiclass_ldp::oracles::exec::FnStage;
 use multiclass_ldp::prelude::*;
 
@@ -237,5 +238,154 @@ fn topk_batch_plan_thread_matrix_is_bit_identical() {
                 assert_eq!(par.comm, seq.comm, "{}", method.name());
             }
         }
+    }
+}
+
+/// A skewed population: each class has its own heavy head, and the
+/// quadratic rank map puts most users on a few items per class.
+fn skewed_data(domains: Domains, n: usize) -> Vec<LabelItem> {
+    let (c, d) = (domains.classes() as usize, domains.items() as usize);
+    (0..n)
+        .map(|u| {
+            let label = u % c;
+            let r = (u * 7919) % 1000;
+            let rank = r * r * d / 1_000_000;
+            LabelItem::new(label as u32, ((label * 17 + rank) % d) as u32)
+        })
+        .collect()
+}
+
+/// Seeded top-k output pinned to constants. The other nets compare two
+/// runs of one build, so they cannot see a change in seeded output
+/// between builds; this one can. It covers the Fig. 7 methods plus the
+/// Table III cells that run the VP PEM rounds and the non-VP shuffled
+/// final round. Run under the `MCIM_THREADS` matrix, it also checks that
+/// the constants hold at every thread count.
+#[test]
+fn topk_seeded_output_matches_golden() {
+    struct Golden {
+        method: TopKMethod,
+        per_class: [&'static [u32]; 3],
+        report_bits: u64,
+        users: u64,
+        broadcast_bits: f64,
+    }
+    let golden = [
+        Golden {
+            method: TopKMethod::Hec,
+            per_class: [&[0, 1, 3, 2], &[17, 18, 19, 24], &[34, 35, 36, 38]],
+            report_bits: 1_280_000,
+            users: 40_000,
+            broadcast_bits: 128.0,
+        },
+        Golden {
+            method: TopKMethod::PtjPem { validity: false },
+            per_class: [&[0, 1, 2, 6], &[17, 22, 19], &[34, 35, 51]],
+            report_bits: 1_280_000,
+            users: 40_000,
+            broadcast_bits: 480.0,
+        },
+        Golden {
+            method: TopKMethod::PtjShuffled { validity: true },
+            per_class: [&[0, 2, 1, 13], &[17, 20, 18, 21], &[34, 37, 35, 36]],
+            report_bits: 1_960_000,
+            users: 40_000,
+            broadcast_bits: 448.0,
+        },
+        Golden {
+            method: TopKMethod::PtsPem {
+                validity: false,
+                global: false,
+            },
+            per_class: [&[0, 24, 2, 34], &[17, 54, 19, 18], &[34, 39, 35, 38]],
+            report_bits: 1_360_000,
+            users: 80_000,
+            broadcast_bits: 128.0,
+        },
+        Golden {
+            method: TopKMethod::PtsShuffled {
+                validity: true,
+                global: true,
+                correlated: true,
+            },
+            per_class: [&[30, 0, 97, 18], &[17, 18, 217, 38], &[34, 243, 35, 165]],
+            report_bits: 1_019_546,
+            users: 80_000,
+            broadcast_bits: 384.0,
+        },
+        Golden {
+            method: TopKMethod::PtjPem { validity: true },
+            per_class: [&[0, 3, 2, 5], &[17, 18, 23], &[34, 41, 38]],
+            report_bits: 1_960_000,
+            users: 40_000,
+            broadcast_bits: 480.0,
+        },
+        Golden {
+            method: TopKMethod::PtjShuffled { validity: false },
+            per_class: [&[0, 1, 4, 2], &[17, 18, 168, 20], &[34, 35, 38, 57]],
+            report_bits: 1_280_000,
+            users: 40_000,
+            broadcast_bits: 448.0,
+        },
+        Golden {
+            method: TopKMethod::PtsPem {
+                validity: false,
+                global: true,
+            },
+            per_class: [&[0, 110, 12, 1], &[17, 19, 29, 16], &[34, 1, 37, 35]],
+            report_bits: 1_872_016,
+            users: 80_000,
+            broadcast_bits: 384.0,
+        },
+        Golden {
+            method: TopKMethod::PtsPem {
+                validity: true,
+                global: false,
+            },
+            per_class: [&[0, 23, 56, 3], &[17, 18, 20, 19], &[34, 38, 33, 37]],
+            report_bits: 760_000,
+            users: 80_000,
+            broadcast_bits: 128.0,
+        },
+        Golden {
+            method: TopKMethod::PtsShuffled {
+                validity: false,
+                global: false,
+                correlated: false,
+            },
+            per_class: [&[0, 75, 129, 27], &[17, 184, 244, 24], &[34, 126, 39, 16]],
+            report_bits: 1_360_000,
+            users: 80_000,
+            broadcast_bits: 320.0,
+        },
+    ];
+    for method in TopKMethod::fig7_set() {
+        assert!(
+            golden.iter().any(|g| g.method == method),
+            "{} has no golden entry",
+            method.name()
+        );
+    }
+
+    let domains = Domains::new(3, 256).unwrap();
+    let data = skewed_data(domains, 40_000);
+    let config = TopKConfig::new(4, Eps::new(4.0).unwrap());
+    let plan = Exec::seeded(15).threads(parallel::configured_threads());
+    for g in &golden {
+        let name = g.method.name();
+        let out = execute(g.method, config, domains, &plan, slice(&data)).unwrap();
+        assert_eq!(out.per_class, g.per_class, "{name}: per_class");
+        assert_eq!(
+            out.comm,
+            CommStats {
+                total_report_bits: g.report_bits,
+                users: g.users,
+            },
+            "{name}: comm"
+        );
+        assert_eq!(
+            out.broadcast_bits_per_user, g.broadcast_bits,
+            "{name}: broadcast_bits_per_user"
+        );
     }
 }
